@@ -36,6 +36,7 @@
 //!  "speedup_p50":...,"speedup_p95":...,"concurrent_speedup_p95":...}
 //! ```
 
+use be2d_core::convert_scene;
 use be2d_db::{
     CandidateSource, PlannerMode, PrefilterMode, QueryOptions, ReplicaConfig,
     ReplicatedImageDatabase, ReplicationMode,
@@ -279,7 +280,11 @@ fn measure(config: &Config, db: &ReplicatedImageDatabase, queries: &[Scene]) -> 
     .with_two_stage(config.frontier);
 
     for query in queries.iter().take(4) {
-        std::hint::black_box(db.search_scene(query, &options).expect("warm-up"));
+        std::hint::black_box(
+            db.search_traced(&convert_scene(query), &options)
+                .expect("warm-up")
+                .0,
+        );
     }
 
     let scored_before = db.metrics().stage2_scored.get();
@@ -287,7 +292,11 @@ fn measure(config: &Config, db: &ReplicatedImageDatabase, queries: &[Scene]) -> 
     for _ in 0..3 {
         for query in queries {
             let t0 = Instant::now();
-            std::hint::black_box(db.search_scene(query, &options).expect("search"));
+            std::hint::black_box(
+                db.search_traced(&convert_scene(query), &options)
+                    .expect("search")
+                    .0,
+            );
             latencies.push(t0.elapsed().as_secs_f64() * 1e6);
         }
     }
@@ -308,8 +317,9 @@ fn measure(config: &Config, db: &ReplicatedImageDatabase, queries: &[Scene]) -> 
                     while !stop.load(Ordering::Relaxed) {
                         let t0 = Instant::now();
                         std::hint::black_box(
-                            db.search_scene(&queries[i % queries.len()], options)
-                                .expect("concurrent search"),
+                            db.search_traced(&convert_scene(&queries[i % queries.len()]), options)
+                                .expect("concurrent search")
+                                .0,
                         );
                         out.push(t0.elapsed().as_secs_f64() * 1e6);
                         i += 1;
@@ -377,8 +387,14 @@ fn main() -> ExitCode {
     }
     .with_two_stage(config.frontier);
     for (qi, query) in battery.iter().enumerate() {
-        let expect = naive.search_scene(query, &options).expect("naive search");
-        let got = v2.search_scene(query, &options).expect("v2 search");
+        let expect = naive
+            .search_traced(&convert_scene(query), &options)
+            .expect("naive search")
+            .0;
+        let got = v2
+            .search_traced(&convert_scene(query), &options)
+            .expect("v2 search")
+            .0;
         assert_eq!(
             expect.len(),
             got.len(),

@@ -28,6 +28,7 @@
 //! the numbers honestly.
 
 use be2d_bench::standard_config;
+use be2d_core::convert_scene;
 use be2d_db::{
     Parallelism, PlannerMode, QueryOptions, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode,
 };
@@ -207,7 +208,11 @@ fn run_point(
 
     // Warm-up outside the timed window.
     for query in queries.iter().take(4) {
-        std::hint::black_box(db.search_scene(&query.scene, &options).expect("search"));
+        std::hint::black_box(
+            db.search_traced(&convert_scene(&query.scene), &options)
+                .expect("search")
+                .0,
+        );
     }
 
     let scenes: Vec<_> = corpus.iter().map(|(_, scene)| scene).collect();
@@ -227,7 +232,9 @@ fn run_point(
                         let query = &queries[i % queries.len()];
                         let t0 = Instant::now();
                         std::hint::black_box(
-                            db.search_scene(&query.scene, options).expect("search"),
+                            db.search_traced(&convert_scene(&query.scene), options)
+                                .expect("search")
+                                .0,
                         );
                         latencies.push(t0.elapsed().as_secs_f64() * 1e3);
                         i += 1;

@@ -19,6 +19,7 @@
 //! ```
 
 use be2d_bench::standard_config;
+use be2d_core::convert_scene;
 use be2d_db::{Parallelism, QueryOptions, ReplicatedImageDatabase, Resharder};
 use be2d_workload::metrics::percentile;
 use be2d_workload::{derive_queries, Corpus, CorpusConfig, QueryKind, SceneConfig};
@@ -167,7 +168,11 @@ fn run_point(config: &Config, corpus: &Corpus, batch: usize) -> SweepPoint {
         ..QueryOptions::serving()
     };
     for query in queries.iter().take(4) {
-        std::hint::black_box(db.search_scene(&query.scene, &options).expect("search"));
+        std::hint::black_box(
+            db.search_traced(&convert_scene(&query.scene), &options)
+                .expect("search")
+                .0,
+        );
     }
 
     let scenes: Vec<_> = corpus.iter().map(|(_, scene)| scene).collect();
@@ -192,7 +197,9 @@ fn run_point(config: &Config, corpus: &Corpus, batch: usize) -> SweepPoint {
                         let query = &queries[i % queries.len()];
                         let t0 = Instant::now();
                         std::hint::black_box(
-                            db.search_scene(&query.scene, options).expect("search"),
+                            db.search_traced(&convert_scene(&query.scene), options)
+                                .expect("search")
+                                .0,
                         );
                         out.per_phase[tag].push(t0.elapsed().as_secs_f64() * 1e3);
                         i += 1;

@@ -1,5 +1,8 @@
-//! E11 — shard-scaling sweep: mixed reader/writer throughput of the
-//! [`ShardedImageDatabase`] at shards ∈ {1, 2, 4, 8}.
+//! E11 — shard-scaling sweep: mixed reader/writer throughput of an
+//! unreplicated sharded database
+//! ([`ReplicatedImageDatabase::with_topology(n, 1)`](ReplicatedImageDatabase::with_topology))
+//! at shards ∈ {1, 2, 4, 8}. Writes pay the op-log append of the
+//! serving write path.
 //!
 //! Each configuration runs the same closed-loop workload: `readers`
 //! threads issue ranked searches back-to-back while `writers` threads
@@ -22,7 +25,8 @@
 //! numbers honestly.
 
 use be2d_bench::standard_config;
-use be2d_db::{Parallelism, QueryOptions, ShardedImageDatabase};
+use be2d_core::convert_scene;
+use be2d_db::{Parallelism, QueryOptions, ReplicatedImageDatabase};
 use be2d_workload::metrics::percentile;
 use be2d_workload::{derive_queries, Corpus, CorpusConfig, QueryKind, SceneConfig};
 use std::io::Write as _;
@@ -72,7 +76,7 @@ fn host_threads() -> usize {
 }
 
 fn usage() -> &'static str {
-    "exp_shard_scaling — sweep ShardedImageDatabase over shards {1,2,4,8}\n\
+    "exp_shard_scaling — sweep an unreplicated sharded database over shards {1,2,4,8}\n\
      \n\
      options:\n\
        --preset small|full  workload size (default full; CI uses small)\n\
@@ -151,7 +155,7 @@ struct SweepPoint {
 /// One timed mixed-workload run against a fresh database.
 #[allow(clippy::cast_precision_loss)]
 fn run_point(config: &Config, corpus: &Corpus, shards: usize) -> SweepPoint {
-    let db = ShardedImageDatabase::with_shards(shards);
+    let db = ReplicatedImageDatabase::with_topology(shards, 1);
     for (id, scene) in corpus.iter() {
         db.insert_scene(&id.to_string(), scene)
             .expect("prefill insert");
@@ -167,7 +171,8 @@ fn run_point(config: &Config, corpus: &Corpus, shards: usize) -> SweepPoint {
 
     // Warm-up outside the timed window.
     for query in queries.iter().take(4) {
-        std::hint::black_box(db.search_scene(&query.scene, &options));
+        std::hint::black_box(db.search_traced(&convert_scene(&query.scene), &options))
+            .expect("warm-up search");
     }
 
     let scenes: Vec<_> = corpus.iter().map(|(_, scene)| scene).collect();
@@ -186,7 +191,10 @@ fn run_point(config: &Config, corpus: &Corpus, shards: usize) -> SweepPoint {
                     while !stop.load(Ordering::Relaxed) {
                         let query = &queries[i % queries.len()];
                         let t0 = Instant::now();
-                        std::hint::black_box(db.search_scene(&query.scene, options));
+                        std::hint::black_box(
+                            db.search_traced(&convert_scene(&query.scene), options),
+                        )
+                        .expect("search");
                         latencies.push(t0.elapsed().as_secs_f64() * 1e3);
                         i += 1;
                     }

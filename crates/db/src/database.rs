@@ -238,9 +238,9 @@ impl ImageDatabase {
     /// Stores a symbolic picture under a caller-chosen id, growing the
     /// record table with dead slots as needed.
     ///
-    /// This is the primitive the sharded database
-    /// ([`ShardedImageDatabase`](crate::ShardedImageDatabase)) builds on:
-    /// shards receive globally-assigned ids out of order, and restore
+    /// This is the primitive the sharded
+    /// [`ReplicatedImageDatabase`](crate::ReplicatedImageDatabase) builds
+    /// on: shards receive globally-assigned ids out of order, and restore
     /// re-routing replays records at their original slots. Plain callers
     /// should prefer [`insert_symbolic`](Self::insert_symbolic).
     ///

@@ -27,9 +27,9 @@
 //! id asc)` mid-migration and the scatter-gather top-k merge remains
 //! bit-identical to an unsharded ranking.
 //!
-//! Snapshot manifests (version 3) persist the epoch, so a snapshot
-//! taken mid-migration restores exactly (see
-//! [`reroute_shards`](crate::shard)).
+//! Snapshot manifests persist the epoch, so a snapshot taken
+//! mid-migration restores exactly (see `reroute_shards` in
+//! `snapshot.rs`).
 
 /// Which of two `id % n` layouts owns each global id (see the module
 /// docs).

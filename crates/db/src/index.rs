@@ -119,7 +119,8 @@ impl ClassIndex {
     }
 
     /// The distinct indexed classes, in order — lets aggregators (e.g.
-    /// the sharded database) union class sets across indexes.
+    /// the sharded [`ReplicatedImageDatabase`](crate::ReplicatedImageDatabase))
+    /// union class sets across indexes.
     pub fn classes(&self) -> impl Iterator<Item = &ObjectClass> {
         self.postings.keys()
     }

@@ -14,11 +14,11 @@
 //!   a frontier, stop early — bit-identical results);
 //! * [`SearchHit`] — per-result score, best transform and the full
 //!   per-axis similarity breakdown;
-//! * [`ShardedImageDatabase`] — N independently locked shards with
-//!   scatter-gather search and incremental per-shard snapshots;
-//! * [`ReplicatedImageDatabase`] — N shards × R replicas: round-robin
-//!   reads, synchronous write fan-out, replica fault injection and
-//!   rebuild-then-rejoin recovery;
+//! * [`ReplicatedImageDatabase`] — N independently locked shards × R
+//!   replicas: scatter-gather [`search_traced`](ReplicatedImageDatabase::search_traced),
+//!   least-outstanding replica reads, op-log write fan-out, replica
+//!   fault injection and catch-up recovery, incremental per-shard
+//!   snapshots (`with_topology(n, 1)` is the plain sharded database);
 //! * [`Resharder`] — online shard rebalancing: streams records between
 //!   shards in bounded batches while the database keeps serving, with
 //!   rankings bit-identical throughout (progress in
@@ -66,10 +66,11 @@ mod oplog;
 mod query;
 mod replica;
 mod reshard;
-mod shard;
+mod scatter;
 mod signature;
 /// Spatial-pattern sketches: textual queries compiled to scenes.
 pub mod sketch;
+mod snapshot;
 
 pub use database::{ImageDatabase, ImageRecord, RecordId, ScoreThreshold, SearchStats};
 pub use error::DbError;
@@ -86,5 +87,4 @@ pub use query::{
 };
 pub use replica::{PlannerMode, ReplicaConfig, ReplicaStats, ReplicatedImageDatabase};
 pub use reshard::{ReshardProgress, Resharder};
-pub use shard::{ShardStats, ShardedImageDatabase};
 pub use signature::{ClassSignature, QuerySketch, ScoreBound, ScoreSketch, SKETCH_BUCKETS};

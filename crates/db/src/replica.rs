@@ -3,19 +3,18 @@
 //! a per-shard **operation log** driving incremental catch-up, write-
 //! ahead durability, and asynchronous replication.
 //!
-//! The sharded database ([`ShardedImageDatabase`]) split the corpus
-//! into N independently locked partitions; this layer puts **R
-//! replicas behind every shard**. Every mutation (insert, remove, §3.2
-//! object edits) is applied to the shard's leader (its first healthy
-//! replica), assigned a global sequence number, and recorded in the
-//! shard's bounded in-memory op log; followers apply the same ops **by
-//! draining the log in sequence order**, never by re-executing
-//! requests, so every replica runs the identical deterministic mutation
-//! stream. Searches scatter to **one chosen replica per shard** before
-//! the same top-k heap merge the sharded database uses; because every
-//! in-sync replica holds identical records, the ranked result is
-//! **bit-identical** to the unreplicated (and single-shard) ranking,
-//! ties included (see `crates/db/tests/replicated.rs`).
+//! The corpus is split into N independently locked shards, and **R
+//! replicas stand behind every shard**. Every mutation (insert,
+//! remove, §3.2 object edits) is applied to the shard's leader (its
+//! first healthy replica), assigned a global sequence number, and
+//! recorded in the shard's bounded in-memory op log; followers apply
+//! the same ops **by draining the log in sequence order**, never by
+//! re-executing requests, so every replica runs the identical
+//! deterministic mutation stream. Searches scatter to **one chosen
+//! replica per shard** before a top-k heap merge (see `scatter.rs`);
+//! because every in-sync replica holds identical records, the ranked
+//! result is **bit-identical** to the unreplicated (and single-shard)
+//! ranking, ties included (see `crates/db/tests/replicated.rs`).
 //!
 //! # Replication modes
 //!
@@ -85,7 +84,6 @@
 //! into each shard's log: catch-up never replays across a barrier (it
 //! clones instead), and WAL recovery refuses to cross one.
 //!
-//! [`ShardedImageDatabase`]: crate::ShardedImageDatabase
 //! [`fail_replica`]: ReplicatedImageDatabase::fail_replica
 //! [`rebuild_replica`]: ReplicatedImageDatabase::rebuild_replica
 
@@ -97,10 +95,10 @@ use crate::oplog::{
     ShardLog, ShardReplication, WalConfig, WalRecord, WalState,
 };
 use crate::reshard::ReshardProgress;
-use crate::shard::{
-    fresh_snapshot_id, heal_next_id, load_snapshot_at, merge_top_k, reroute_shards,
-    save_snapshot_at, scatter_scan_list, shard_cannot_contribute, wal_floor_of, PreviousSnapshot,
-    SnapshotPayload,
+use crate::scatter::{merge_top_k, scatter_scan_list, shard_cannot_contribute};
+use crate::snapshot::{
+    fresh_snapshot_id, heal_next_id, load_snapshot_at, reroute_shards, save_snapshot_at,
+    wal_floor_of, PreviousSnapshot, SnapshotPayload,
 };
 use crate::{
     CandidateStrategy, DbError, ImageDatabase, ImageRecord, QueryOptions, RecordId, SearchHit,
@@ -118,9 +116,9 @@ use std::time::Instant;
 /// A cheaply clonable, thread-safe image database of N shards × R
 /// replicas whose shard count can be changed online.
 ///
-/// With `replicas = 1` it behaves exactly like a
-/// [`ShardedImageDatabase`](crate::ShardedImageDatabase) with the same
-/// shard count; with more replicas, reads spread across copies and a
+/// With `replicas = 1` it is a plain sharded database: N independently
+/// locked shards, scatter-gather search, writes that lock only the
+/// owning shard. With more replicas, reads spread across copies and a
 /// failed copy can be rebuilt from a healthy peer without downtime.
 /// [`Resharder`](crate::Resharder) streams records between shards while
 /// the database keeps serving. [`with_config`](Self::with_config)
@@ -130,6 +128,7 @@ use std::time::Instant;
 /// # Example
 ///
 /// ```
+/// use be2d_core::convert_scene;
 /// use be2d_db::{QueryOptions, ReplicatedImageDatabase};
 /// use be2d_geometry::SceneBuilder;
 ///
@@ -140,7 +139,8 @@ use std::time::Instant;
 ///
 /// // Fail one copy of the owning shard: reads route around it.
 /// db.fail_replica(0, 1)?;
-/// assert_eq!(db.search_scene(&scene, &QueryOptions::default())?[0].id, id);
+/// let (hits, _trace) = db.search_traced(&convert_scene(&scene), &QueryOptions::default())?;
+/// assert_eq!(hits[0].id, id);
 ///
 /// // Rebuild it from the healthy peer and rejoin rotation.
 /// db.rebuild_replica(0, 1)?;
@@ -223,13 +223,15 @@ pub(crate) struct Inner {
     pub(crate) topology: RwLock<Topology>,
     /// The next global id; increments on every insert, never reused.
     pub(crate) next_id: AtomicUsize,
-    /// Stable id of this database instance (see the sharded database's
-    /// incremental-snapshot bookkeeping).
+    /// Stable id of this database instance (the incremental-snapshot
+    /// writer id; see `snapshot.rs`).
     pub(crate) instance: u64,
-    /// Shards the scatter planner skipped (see `/stats`).
+    /// Shards the scatter planner skipped (see `/v1/stats`).
     pub(crate) planner_skipped: AtomicU64,
-    /// Serialises snapshot/restore file I/O, exactly like the sharded
-    /// database's `snapshot_io`.
+    /// Serialises snapshot/restore **file I/O** (not regular traffic):
+    /// two concurrent saves to one path could otherwise delete each
+    /// other's generation files during cleanup, and a save racing a
+    /// restore could delete shard files mid-read.
     pub(crate) snapshot_io: parking_lot::Mutex<()>,
     /// The migration gate: multi-shard searches hold it shared for the
     /// whole scatter, reshard batch moves hold it exclusively — a
@@ -237,7 +239,7 @@ pub(crate) struct Inner {
     pub(crate) search_gate: RwLock<()>,
     /// One reshard (or restore) at a time.
     pub(crate) reshard_lock: parking_lot::Mutex<()>,
-    /// Last observed reshard progress, for `/stats`.
+    /// Last observed reshard progress, for `/v1/stats`.
     pub(crate) progress: parking_lot::Mutex<ReshardProgress>,
     /// Write-acknowledgement mode (fixed at construction).
     pub(crate) mode: ReplicationMode,
@@ -1014,10 +1016,9 @@ impl ReplicatedImageDatabase {
         symbolic: SymbolicImage,
     ) -> Result<RecordId, DbError> {
         let top = self.inner.topology.read();
-        // Same id-allocation protocol as the sharded database: ids are
-        // handed out before any lock, so a slot may be occupied by a
-        // concurrently restored corpus — skip to a fresh id (the restore
-        // healed the counter above every restored slot).
+        // Ids are handed out before any lock, so a slot may be occupied
+        // by a concurrently restored corpus — skip to a fresh id (the
+        // restore healed the counter above every restored slot).
         'fresh_id: for _ in 0..64 {
             let id = RecordId(self.inner.next_id.fetch_add(1, Ordering::SeqCst));
             // A reshard batch may move the boundary past `id` between
@@ -1166,18 +1167,18 @@ impl ReplicatedImageDatabase {
     /// Scatter-gather ranked search over **one chosen replica per
     /// shard** (least-outstanding among healthy, in-sync copies —
     /// replicas beyond the mode's lag bound are skipped), merged with
-    /// the same top-k heap the sharded database uses. The scatter
-    /// planner skips shards whose class postings provably cannot
-    /// contribute (exact inverted-index candidates only); under
+    /// a top-k heap, returned with the per-stage [`QueryTrace`] (whose
+    /// histograms also feed `/v1/metrics`). The scatter planner skips
+    /// shards whose class postings provably cannot contribute (exact
+    /// inverted-index candidates only); under
     /// [`PlannerMode::V2`] it additionally orders the scatter by
     /// per-shard selectivity — the most selective shard runs first and
     /// seeds the cross-shard score threshold — and picks each shard's
     /// [`CandidateStrategy`](crate::CandidateStrategy) from the same
     /// estimate.
     ///
-    /// Ranking — ids, scores, and tie-breaks — is bit-identical to an
-    /// unreplicated [`ShardedImageDatabase`](crate::ShardedImageDatabase)
-    /// (and to a single [`ImageDatabase`]) over the same records, in
+    /// Ranking — ids, scores, and tie-breaks — is bit-identical to a
+    /// single [`ImageDatabase`] over the same records, in
     /// **either planner mode**, **even while an online reshard is
     /// migrating records**: the whole scatter holds the migration gate,
     /// so batch moves are atomic to it, and the epoch maps each shard's
@@ -1189,24 +1190,6 @@ impl ReplicatedImageDatabase {
     ///
     /// Returns [`DbError::Replica`] (retryable) when any touched shard
     /// has no healthy replica at all — a failed copy is never served.
-    pub fn search(
-        &self,
-        query: &BeString2D,
-        options: &QueryOptions,
-    ) -> Result<Vec<SearchHit>, DbError> {
-        self.search_traced(query, options).map(|(hits, _)| hits)
-    }
-
-    /// [`search`](Self::search) plus the per-stage [`QueryTrace`]. The
-    /// trace is built on every search anyway (its histograms feed
-    /// `/v1/metrics`), so the hits — and their `f64` scores, to the
-    /// bit — are identical to the untraced call: this *is* the search
-    /// path, not a parallel one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Replica`] (retryable) when any touched shard
-    /// has no healthy replica at all.
     pub fn search_traced(
         &self,
         query: &BeString2D,
@@ -1455,69 +1438,6 @@ impl ReplicatedImageDatabase {
         Ok((hits, trace))
     }
 
-    /// Scatter-gather search with a scene query (converted once, outside
-    /// all locks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Replica`] (retryable) when any touched shard
-    /// has no healthy replica at all.
-    pub fn search_scene(
-        &self,
-        query: &Scene,
-        options: &QueryOptions,
-    ) -> Result<Vec<SearchHit>, DbError> {
-        self.search(&be2d_core::convert_scene(query), options)
-    }
-
-    /// [`search_scene`](Self::search_scene) with the per-stage
-    /// [`QueryTrace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Replica`] (retryable) when any touched shard
-    /// has no healthy replica at all.
-    pub fn search_scene_traced(
-        &self,
-        query: &Scene,
-        options: &QueryOptions,
-    ) -> Result<(Vec<SearchHit>, QueryTrace), DbError> {
-        self.search_traced(&be2d_core::convert_scene(query), options)
-    }
-
-    /// Scatter-gather search with textual BE-strings (parsed once).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors from the query strings and
-    /// [`DbError::Replica`] from the scatter.
-    pub fn search_text(
-        &self,
-        u: &str,
-        v: &str,
-        options: &QueryOptions,
-    ) -> Result<Vec<SearchHit>, DbError> {
-        let query = BeString2D::parse(u, v).map_err(DbError::from)?;
-        self.search(&query, options)
-    }
-
-    /// [`search_text`](Self::search_text) with the per-stage
-    /// [`QueryTrace`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors from the query strings and
-    /// [`DbError::Replica`] from the scatter.
-    pub fn search_text_traced(
-        &self,
-        u: &str,
-        v: &str,
-        options: &QueryOptions,
-    ) -> Result<(Vec<SearchHit>, QueryTrace), DbError> {
-        let query = BeString2D::parse(u, v).map_err(DbError::from)?;
-        self.search_traced(&query, options)
-    }
-
     /// Takes a replica out of rotation — the fault-injection hook.
     /// Reads and writes route around it immediately; its contents (and
     /// its applied-sequence position) go stale until
@@ -1624,9 +1544,7 @@ impl ReplicatedImageDatabase {
 
     /// Saves a consistent, incremental sharded snapshot (one file per
     /// physical shard, cloned from each shard's leader after draining
-    /// it to the shard head) in the exact format of
-    /// [`ShardedImageDatabase::save_snapshot`](crate::ShardedImageDatabase::save_snapshot)
-    /// — the two deployments' snapshots are interchangeable. Write
+    /// it to the shard head). Write
     /// traffic pauses for the duration of the clone so the snapshot is
     /// one global state; readers keep flowing. A snapshot taken during
     /// an online reshard records the routing epoch, and every snapshot
@@ -1832,7 +1750,7 @@ impl ReplicatedImageDatabase {
         Ok(())
     }
 
-    /// Restores from a sharded manifest (v1–v4 — mid-reshard snapshots
+    /// Restores from a version-4 manifest (mid-reshard snapshots
     /// included) or a plain [`ImageDatabase::save`] file, replacing the
     /// contents of **every replica** — which also heals all failed
     /// replicas, since each now holds the same freshly restored state.
@@ -1913,8 +1831,13 @@ impl ReplicatedImageDatabase {
             }
             set.edits.fetch_add(1, Ordering::SeqCst);
         }
-        // `fetch_max`, never `store` — see the sharded database's
-        // restore for the insert-racing-restore argument.
+        // `fetch_max`, never `store`: an insert racing this restore may
+        // have allocated a high id before we took the locks. If its
+        // shard insert lands after the swap on a free slot, that insert
+        // linearises *after* the restore and its record legitimately
+        // survives — its id must never be re-issued, so the counter
+        // cannot move backwards past it. If its slot is occupied by a
+        // restored record instead, `insert_symbolic` skips to a fresh id.
         self.inner.next_id.fetch_max(required, Ordering::SeqCst);
         // Fence every shard's log: all replicas now hold identical
         // restored state (all healthy, so the barrier marks each as
@@ -2033,6 +1956,13 @@ mod tests {
         db
     }
 
+    fn search(db: &ReplicatedImageDatabase, query: &Scene) -> Vec<SearchHit> {
+        let query = be2d_core::convert_scene(query);
+        db.search_traced(&query, &QueryOptions::default())
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn writes_fan_out_to_every_replica() {
         let db = filled(2, 3, 8);
@@ -2085,13 +2015,13 @@ mod tests {
     fn reads_route_around_failed_replicas() {
         let db = filled(2, 2, 12);
         let query = scene(3);
-        let before = db.search_scene(&query, &QueryOptions::default()).unwrap();
+        let before = search(&db, &query);
 
         db.fail_replica(0, 0).unwrap();
         db.fail_replica(1, 1).unwrap();
         // Every read still answers, from the surviving copies.
         for _ in 0..8 {
-            let hits = db.search_scene(&query, &QueryOptions::default()).unwrap();
+            let hits = search(&db, &query);
             assert_eq!(hits.len(), before.len());
             for (a, b) in before.iter().zip(&hits) {
                 assert_eq!(a.id, b.id);
@@ -2226,7 +2156,7 @@ mod tests {
     fn async_and_quorum_rank_bit_identically() {
         let sync = filled(2, 3, 20);
         let query = scene(5);
-        let expect = sync.search_scene(&query, &QueryOptions::default()).unwrap();
+        let expect = search(&sync, &query);
         assert!(!expect.is_empty());
         for mode in [
             ReplicationMode::Quorum,
@@ -2243,7 +2173,7 @@ mod tests {
                 db.insert_scene(&format!("img{i}"), &scene(i % 40)).unwrap();
             }
             db.flush_replication();
-            let hits = db.search_scene(&query, &QueryOptions::default()).unwrap();
+            let hits = search(&db, &query);
             assert_eq!(hits.len(), expect.len(), "{mode:?}");
             for (a, b) in expect.iter().zip(&hits) {
                 assert_eq!(a.id, b.id, "{mode:?}");
@@ -2262,7 +2192,6 @@ mod tests {
 
     #[test]
     fn search_matches_sharded_and_single() {
-        use crate::ShardedImageDatabase;
         let query = scene(7);
         let single = {
             let mut db = ImageDatabase::new();
@@ -2272,16 +2201,10 @@ mod tests {
             db
         };
         let expect = single.search_scene(&query, &QueryOptions::default());
-        let sharded = ShardedImageDatabase::with_shards(3);
-        for i in 0..30 {
-            sharded
-                .insert_scene(&format!("img{i}"), &scene(i % 40))
-                .unwrap();
-        }
-        let sharded_hits = sharded.search_scene(&query, &QueryOptions::default());
+        let sharded_hits = search(&filled(3, 1, 30), &query);
         for replicas in [1usize, 2, 3] {
             let db = filled(3, replicas, 30);
-            let hits = db.search_scene(&query, &QueryOptions::default()).unwrap();
+            let hits = search(&db, &query);
             assert_eq!(hits.len(), expect.len());
             for ((a, b), c) in expect.iter().zip(&hits).zip(&sharded_hits) {
                 assert_eq!(a.id, b.id, "{replicas} replicas");
@@ -2311,11 +2234,11 @@ mod tests {
         assert_eq!(back.get(RecordId(7)).unwrap().unwrap().name, "img7");
         assert_eq!(back.insert_scene("next", &scene(1)).unwrap(), RecordId(9));
 
-        // The snapshot format is interchangeable with the sharded
-        // database's, topology changes included.
-        let sharded = crate::ShardedImageDatabase::with_shards(3);
+        // The snapshot restores into an unreplicated topology too,
+        // shard-count changes included.
+        let sharded = ReplicatedImageDatabase::with_topology(3, 1);
         assert_eq!(sharded.restore_from(&path).unwrap(), 8);
-        assert_eq!(sharded.get(RecordId(7)).unwrap().name, "img7");
+        assert_eq!(sharded.get(RecordId(7)).unwrap().unwrap().name, "img7");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2457,5 +2380,88 @@ mod tests {
         assert_eq!(oplog.entries, 1);
         assert!(oplog.wal.is_none());
         assert_eq!(other.replication_mode(), ReplicationMode::Sync);
+    }
+
+    #[test]
+    fn ids_are_global_and_sequential() {
+        let db = filled(4, 1, 10);
+        assert_eq!(db.len(), 10);
+        assert_eq!(db.shard_count(), 4);
+        assert_eq!(
+            db.stats().shard_records,
+            vec![3, 3, 2, 2],
+            "round-robin routing"
+        );
+        for i in 0..10 {
+            let record = db.get(RecordId(i)).unwrap().expect("live record");
+            assert_eq!(record.id, RecordId(i));
+            assert_eq!(record.name, format!("img{i}"));
+        }
+        assert!(db.get(RecordId(10)).unwrap().is_none());
+    }
+
+    #[test]
+    fn remove_and_edit_route_to_owner() {
+        let db = filled(3, 1, 9);
+        db.remove(RecordId(4)).unwrap();
+        assert!(db.get(RecordId(4)).unwrap().is_none());
+        assert_eq!(db.len(), 8);
+        assert!(matches!(
+            db.remove(RecordId(4)),
+            Err(DbError::UnknownRecord { id: 4 })
+        ));
+        // ids are never reused after removal
+        let next = db.insert_scene("late", &scene(1)).unwrap();
+        assert_eq!(next, RecordId(9));
+
+        let class = ObjectClass::new("X");
+        let mbr = Rect::new(0, 5, 0, 5).unwrap();
+        db.add_object(RecordId(5), &class, mbr).unwrap();
+        let objects = db
+            .get(RecordId(5))
+            .unwrap()
+            .unwrap()
+            .symbolic
+            .object_count();
+        assert_eq!(objects, 3);
+        db.remove_object(RecordId(5), &class, mbr).unwrap();
+        assert!(matches!(
+            db.add_object(RecordId(77), &class, mbr),
+            Err(DbError::UnknownRecord { id: 77 })
+        ));
+    }
+
+    #[test]
+    fn stats_aggregates_consistently() {
+        let db = filled(3, 1, 10);
+        let stats = db.stats();
+        assert_eq!(stats.shard_records.iter().sum::<usize>(), 10);
+        assert_eq!(stats.classes, 2, "classes are a union, not a sum");
+        assert_eq!(stats.objects, 20);
+    }
+
+    #[test]
+    fn text_query_ties_and_prefilter_options() {
+        let db = filled(4, 1, 20);
+        let target = db
+            .get(RecordId(3))
+            .unwrap()
+            .unwrap()
+            .symbolic
+            .to_be_string_2d();
+        let query = BeString2D::parse(&target.x().to_string(), &target.y().to_string()).unwrap();
+        let options = QueryOptions {
+            prefilter: crate::PrefilterMode::AllClasses,
+            ..QueryOptions::default()
+        };
+        let (hits, _) = db.search_traced(&query, &options).unwrap();
+        // Every scene(x) with x >= 1 shares one BE-string (translation
+        // preserves boundary order; x = 0 touches the frame edge), so
+        // those records tie at 1.0 and the global tie-break (id asc)
+        // must hold across shard boundaries.
+        assert_eq!(hits[0].id, RecordId(1));
+        assert!((hits[0].score - 1.0).abs() < 1e-12);
+        assert!(hits.iter().any(|h| h.id == RecordId(3)));
+        assert!(hits.windows(2).all(|w| w[0].id < w[1].id), "tie order");
     }
 }

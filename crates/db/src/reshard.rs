@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 /// Progress of an online reshard, exposed via
 /// [`ReplicatedImageDatabase::reshard_progress`] (and the server's
-/// `/stats`).
+/// `/v1/stats`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReshardProgress {
     /// Whether a reshard is currently running.
@@ -64,6 +64,7 @@ pub struct ReshardProgress {
 /// # Example
 ///
 /// ```
+/// use be2d_core::convert_scene;
 /// use be2d_db::{QueryOptions, ReplicatedImageDatabase, Resharder};
 /// use be2d_geometry::SceneBuilder;
 ///
@@ -76,7 +77,8 @@ pub struct ReshardProgress {
 /// let report = Resharder::new(&db).run(4)?;
 /// assert_eq!(db.shard_count(), 4);
 /// assert_eq!(report.to, 4);
-/// assert_eq!(db.search_scene(&scene, &QueryOptions::default())?.len(), 10);
+/// let (hits, _) = db.search_traced(&convert_scene(&scene), &QueryOptions::default())?;
+/// assert_eq!(hits.len(), 10);
 /// # Ok(())
 /// # }
 /// ```
@@ -552,6 +554,7 @@ fn move_record(
 mod tests {
     use super::*;
     use crate::QueryOptions;
+    use be2d_core::convert_scene;
     use be2d_geometry::{Scene, SceneBuilder};
 
     fn scene(x: i64) -> Scene {
@@ -773,7 +776,7 @@ mod tests {
             .run_with_checkpoints(7, |_| {
                 for query in &queries {
                     let expect = reference.search_scene(query, &options);
-                    let hits = db.search_scene(query, &options).unwrap();
+                    let hits = db.search_traced(&convert_scene(query), &options).unwrap().0;
                     assert_eq!(expect.len(), hits.len());
                     for (a, b) in expect.iter().zip(&hits) {
                         assert_eq!(a.id, b.id);

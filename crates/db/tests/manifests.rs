@@ -1,10 +1,11 @@
-//! Property tests for snapshot manifests: arbitrary v1–v4 manifests
-//! either round-trip exactly or are **rejected cleanly** — a failed
-//! restore never leaves a partial corpus behind, and id-counter healing
-//! is always monotonic (an insert after any successful restore can
-//! never collide with a restored record or reuse a pre-restore id).
+//! Property tests for snapshot manifests: arbitrary v4 manifests either
+//! round-trip exactly or are **rejected cleanly** — a failed restore
+//! never leaves a partial corpus behind, and id-counter healing is
+//! always monotonic (an insert after any successful restore can never
+//! collide with a restored record or reuse a pre-restore id). Retired
+//! v1–v3 layouts are always rejected cleanly.
 
-use be2d_db::{RecordId, ReplicatedImageDatabase, ShardedImageDatabase};
+use be2d_db::{RecordId, ReplicatedImageDatabase};
 use be2d_geometry::{Scene, SceneBuilder};
 use proptest::prelude::*;
 use serde::{Deserialize, Value};
@@ -219,9 +220,10 @@ proptest! {
 
     /// The headline property: for any source topology, record count,
     /// manifest version, and damage, a restore either reproduces the
-    /// saved corpus exactly (valid manifests, including understated id
-    /// counters, which heal monotonically) or fails cleanly with the
-    /// target database untouched.
+    /// saved corpus exactly (valid v4 manifests, including understated
+    /// id counters, which heal monotonically) or fails cleanly with the
+    /// target database untouched (damaged manifests, and every retired
+    /// v1–v3 layout).
     #[test]
     fn manifests_roundtrip_or_reject_cleanly(
         source_shards in 1usize..5,
@@ -239,8 +241,8 @@ proptest! {
         let dir = fresh_dir();
         let path = dir.join("m.json");
 
-        // Source corpus with some dead ids, saved as a v3 manifest.
-        let source = ShardedImageDatabase::with_shards(source_shards);
+        // Source corpus with some dead ids, saved as a v4 manifest.
+        let source = ReplicatedImageDatabase::with_topology(source_shards, 1);
         let mut live: Vec<usize> = Vec::new();
         for i in 0..records {
             source.insert_scene(&format!("img-{i}"), &scene(i as i64)).unwrap();
@@ -279,7 +281,8 @@ proptest! {
             target.insert_scene(&format!("busy-{i}"), &scene(40 + i)).unwrap();
         }
 
-        let expect_ok = matches!(damage, Damage::None | Damage::UnderstateNextId);
+        let expect_ok =
+            version == 4 && matches!(damage, Damage::None | Damage::UnderstateNextId);
         match target.restore_from(&path) {
             Ok(restored) => {
                 prop_assert!(expect_ok, "damage {damage:?} restored successfully");

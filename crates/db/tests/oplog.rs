@@ -4,6 +4,7 @@
 //! snapshot checkpoints bound how much log a reboot has to replay. The
 //! recovered corpus must rank bit-identically to one built live.
 
+use be2d_core::convert_scene;
 use be2d_db::{
     PlannerMode, QueryOptions, RecordId, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode,
     WalConfig,
@@ -88,8 +89,14 @@ fn reboot_replays_every_acknowledged_write() {
 
     let options = QueryOptions::default();
     for probe in 0..12 {
-        let a = reference.search_scene(&scene(probe), &options).unwrap();
-        let b = back.search_scene(&scene(probe), &options).unwrap();
+        let a = reference
+            .search_traced(&convert_scene(&scene(probe)), &options)
+            .unwrap()
+            .0;
+        let b = back
+            .search_traced(&convert_scene(&scene(probe)), &options)
+            .unwrap()
+            .0;
         assert_eq!(a.len(), b.len(), "probe {probe}");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id, "probe {probe}");

@@ -5,12 +5,18 @@
 //! that could contribute. `planner_skipped` has to count exactly the
 //! provable skips, never a racy one.
 
+use be2d_core::convert_scene;
 use be2d_db::{
     CandidateSource, CandidateStrategy, PlannerMode, PrefilterMode, QueryOptions, RecordId,
-    ReplicaConfig, ReplicatedImageDatabase, ReplicationMode, Resharder,
+    ReplicaConfig, ReplicatedImageDatabase, ReplicationMode, Resharder, SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// A scene query through the database's one search call.
+fn search(db: &ReplicatedImageDatabase, query: &Scene, options: &QueryOptions) -> Vec<SearchHit> {
+    db.search_traced(&convert_scene(query), options).unwrap().0
+}
 
 fn base_scene(x: i64) -> Scene {
     SceneBuilder::new(100, 100)
@@ -48,25 +54,25 @@ fn planner_skipped_tracks_posting_changes_exactly() {
     let options = all_classes_options();
 
     // No Q anywhere: all four shards are provably empty for the query.
-    assert!(db.search_scene(&query, &options).unwrap().is_empty());
+    assert!(search(&db, &query, &options).is_empty());
     assert_eq!(db.planner_skipped(), 4);
 
     // Q lands on record 0 → shard 0: exactly three shards skippable.
     db.add_object(RecordId(0), &q, mbr).unwrap();
-    let hits = db.search_scene(&query, &options).unwrap();
+    let hits = search(&db, &query, &options);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].id, RecordId(0));
     assert_eq!(db.planner_skipped(), 4 + 3);
 
     // A second Q on record 5 → shard 1: two shards skippable.
     db.add_object(RecordId(5), &q, mbr).unwrap();
-    assert_eq!(db.search_scene(&query, &options).unwrap().len(), 2);
+    assert_eq!(search(&db, &query, &options).len(), 2);
     assert_eq!(db.planner_skipped(), 4 + 3 + 2);
 
     // Removing the §3.2 objects restores full pruning.
     db.remove_object(RecordId(0), &q, mbr).unwrap();
     db.remove_object(RecordId(5), &q, mbr).unwrap();
-    assert!(db.search_scene(&query, &options).unwrap().is_empty());
+    assert!(search(&db, &query, &options).is_empty());
     assert_eq!(db.planner_skipped(), 4 + 3 + 2 + 4);
 
     // Scan-mode candidates are never pruned.
@@ -74,7 +80,7 @@ fn planner_skipped_tracks_posting_changes_exactly() {
         candidates: CandidateSource::Scan,
         ..all_classes_options()
     };
-    let _ = db.search_scene(&query, &scan).unwrap();
+    let _ = search(&db, &query, &scan);
     assert_eq!(db.planner_skipped(), 13, "scan mode must not skip");
 }
 
@@ -141,9 +147,9 @@ fn concurrent_edits_never_prune_a_contributing_shard() {
             let (all, any) = (&all, &any);
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let hits = db.search_scene(a_query, all).unwrap();
+                    let hits = search(&db, a_query, all);
                     assert_eq!(hits.len(), 24, "an A-record vanished mid-toggle");
-                    let hits = db.search_scene(aq_query, any).unwrap();
+                    let hits = search(&db, aq_query, any);
                     assert!(
                         hits.iter().any(|h| h.id == toggled),
                         "the toggled record was pruned out of an any-class union"
@@ -183,7 +189,7 @@ fn concurrent_edits_never_prune_a_contributing_shard() {
         .build()
         .unwrap();
     let before = db.planner_skipped();
-    assert!(db.search_scene(&q_query, &all).unwrap().is_empty());
+    assert!(search(&db, &q_query, &all).is_empty());
     assert_eq!(db.planner_skipped(), before + 7);
 }
 
@@ -298,8 +304,8 @@ fn option_battery() -> Vec<(&'static str, QueryOptions)> {
 fn assert_identical(naive: &ReplicatedImageDatabase, v2: &ReplicatedImageDatabase, when: &str) {
     for (label, options) in option_battery() {
         for (qi, query) in planner_queries().iter().enumerate() {
-            let expect = naive.search_scene(query, &options).unwrap();
-            let got = v2.search_scene(query, &options).unwrap();
+            let expect = search(naive, query, &options);
+            let got = search(v2, query, &options);
             assert_eq!(expect.len(), got.len(), "{when}: {label} q{qi} length");
             for (rank, (a, b)) in expect.iter().zip(&got).enumerate() {
                 assert_eq!(a.id, b.id, "{when}: {label} q{qi} rank {rank}");
@@ -376,7 +382,7 @@ fn ordered_scatter_engages_and_traces_the_plan() {
     .with_two_stage(4);
 
     let before = v2.metrics().planner_ordered_scatters.get();
-    let (_, trace) = v2.search_scene_traced(query, &staged).unwrap();
+    let (_, trace) = v2.search_traced(&convert_scene(query), &staged).unwrap();
     assert!(trace.ordered, "threshold present => ordered scatter");
     assert_eq!(v2.metrics().planner_ordered_scatters.get(), before + 1);
 
@@ -410,13 +416,13 @@ fn ordered_scatter_engages_and_traces_the_plan() {
     // No threshold (exhaustive search) => nothing to tighten, no
     // ordering; and naive mode never orders even with a threshold.
     let (_, trace) = v2
-        .search_scene_traced(query, &option_battery()[1].1)
+        .search_traced(&convert_scene(query), &option_battery()[1].1)
         .unwrap();
     assert!(!trace.ordered, "no threshold => no ordered scatter");
 
     let naive = with_planner(4, 1, PlannerMode::Naive);
     fill_skewed(&naive, 48);
-    let (_, trace) = naive.search_scene_traced(query, &staged).unwrap();
+    let (_, trace) = naive.search_traced(&convert_scene(query), &staged).unwrap();
     assert!(!trace.ordered);
     for s in &trace.shards {
         assert_eq!(s.order, s.shard, "naive visits in index order");
@@ -443,7 +449,7 @@ fn dense_scan_strategy_engages_on_dense_postings_only() {
     // must choose the dense scan everywhere.
     let before = v2.metrics().planner_dense_scans.get();
     let (_, trace) = v2
-        .search_scene_traced(&planner_queries()[1], &options)
+        .search_traced(&convert_scene(&planner_queries()[1]), &options)
         .unwrap();
     for s in &trace.shards {
         assert_eq!(
@@ -457,7 +463,7 @@ fn dense_scan_strategy_engages_on_dense_postings_only() {
 
     // Rare class: sparse postings walk the index.
     let (_, trace) = v2
-        .search_scene_traced(&planner_queries()[0], &options)
+        .search_traced(&convert_scene(&planner_queries()[0]), &options)
         .unwrap();
     for s in &trace.shards {
         if !s.skipped {
@@ -514,7 +520,7 @@ fn async_bounded_reads_stay_exact_during_live_reshard() {
                 // routed to a follower lagging past the bound would
                 // miss the newest ones.
                 let floor = inserted_ref.load(Ordering::Acquire);
-                let hits = db2.search_scene(probe_ref, options_ref).unwrap();
+                let hits = search(&db2, probe_ref, options_ref);
                 assert!(
                     hits.len() >= floor,
                     "bounded read lost acked writes: {} < {floor}",
@@ -552,7 +558,7 @@ fn async_bounded_reads_stay_exact_during_live_reshard() {
     }
     let mut used: Vec<std::collections::HashSet<usize>> = vec![Default::default(); 5];
     for _ in 0..12 {
-        let (_, trace) = db.search_scene_traced(&probe, &options).unwrap();
+        let (_, trace) = db.search_traced(&convert_scene(&probe), &options).unwrap();
         for s in &trace.shards {
             used[s.shard].insert(s.replica);
         }
@@ -574,5 +580,5 @@ fn async_bounded_reads_stay_exact_during_live_reshard() {
     db.fail_replica(0, 1).unwrap();
     let err = db.fail_replica(0, 2).unwrap_err();
     assert!(err.to_string().contains("last healthy"), "{err}");
-    assert!(!db.search_scene(&probe, &options).unwrap().is_empty());
+    assert!(!search(&db, &probe, &options).is_empty());
 }

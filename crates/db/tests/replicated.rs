@@ -4,8 +4,10 @@
 //! count — while replicas fail, rebuild, and rejoin under concurrent
 //! write traffic.
 
+use be2d_core::convert_scene;
 use be2d_db::{
     ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId, ReplicatedImageDatabase,
+    SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 
@@ -29,6 +31,11 @@ impl Lcg {
 }
 
 const CLASSES: [&str; 6] = ["A", "B", "C", "D", "F", "G"];
+
+/// A scene query through the database's one search call.
+fn search(db: &ReplicatedImageDatabase, query: &Scene, options: &QueryOptions) -> Vec<SearchHit> {
+    db.search_traced(&convert_scene(query), options).unwrap().0
+}
 
 fn random_scene(rng: &mut Lcg) -> Scene {
     let objects = 2 + rng.below(4);
@@ -135,7 +142,7 @@ fn replicated_ranking_is_bit_identical_to_unreplicated() {
         for (label, options) in option_variants() {
             for (qi, query) in queries.iter().enumerate() {
                 let expect = single.search_scene(query, &options);
-                let got = replicated.search_scene(query, &options).unwrap();
+                let got = search(&replicated, query, &options);
                 assert_eq!(
                     expect.len(),
                     got.len(),
@@ -175,7 +182,7 @@ fn ranking_is_identical_with_replicas_failed() {
     for round in 0..4 {
         for query in &queries {
             let expect = single.search_scene(query, &options);
-            let got = replicated.search_scene(query, &options).unwrap();
+            let got = search(&replicated, query, &options);
             assert_eq!(expect.len(), got.len(), "round {round}");
             for (a, b) in expect.iter().zip(&got) {
                 assert_eq!(a.id, b.id);
@@ -211,9 +218,7 @@ fn replica_loss_under_concurrent_writes() {
             readers.push(scope.spawn(move || {
                 let mut total = 0usize;
                 for round in 0..40 {
-                    let hits = db
-                        .search_scene(&queries[(reader + round) % queries.len()], options)
-                        .unwrap();
+                    let hits = search(&db, &queries[(reader + round) % queries.len()], options);
                     assert!(hits.len() <= 20);
                     let mut seen = std::collections::HashSet::new();
                     for window in hits.windows(2) {
@@ -316,7 +321,7 @@ fn rebuild_then_rejoin_is_consistent() {
     };
     for query in corpus(0x77, 6) {
         let expect = single.search_scene(&query, &options);
-        let got = replicated.search_scene(&query, &options).unwrap();
+        let got = search(&replicated, &query, &options);
         assert_eq!(expect.len(), got.len());
         for (a, b) in expect.iter().zip(&got) {
             assert_eq!(a.id, b.id);

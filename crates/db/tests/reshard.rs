@@ -4,13 +4,19 @@
 //! **bit-identical** (`f64::to_bits`, ties included) to a never-sharded
 //! reference database holding the same records.
 
+use be2d_core::convert_scene;
 use be2d_db::{
     DbError, ImageDatabase, PrefilterMode, QueryOptions, RecordId, ReplicatedImageDatabase,
-    Resharder, ShardedImageDatabase,
+    Resharder, SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// A scene query through the database's one search call.
+fn search(db: &ReplicatedImageDatabase, query: &Scene, options: &QueryOptions) -> Vec<SearchHit> {
+    db.search_traced(&convert_scene(query), options).unwrap().0
+}
 
 fn scene(x: i64) -> Scene {
     SceneBuilder::new(100, 100)
@@ -56,7 +62,7 @@ fn query_battery() -> Vec<(Scene, QueryOptions)> {
 fn assert_bit_identical(reference: &ImageDatabase, db: &ReplicatedImageDatabase, when: &str) {
     for (i, (query, options)) in query_battery().iter().enumerate() {
         let expect = reference.search_scene(query, options);
-        let hits = db.search_scene(query, options).unwrap();
+        let hits = search(db, query, options);
         assert_eq!(expect.len(), hits.len(), "{when}: query {i} length");
         for (rank, (a, b)) in expect.iter().zip(&hits).enumerate() {
             assert_eq!(a.id, b.id, "{when}: query {i} rank {rank}");
@@ -292,9 +298,7 @@ fn replica_killed_mid_reshard_heals_onto_new_topology() {
         db.fail_replica(shard, 0).unwrap();
         db.fail_replica(shard, 2).unwrap();
     }
-    let hits = db
-        .search_scene(&varied_scene(4), &QueryOptions::default())
-        .unwrap();
+    let hits = search(&db, &varied_scene(4), &QueryOptions::default());
     assert!(!hits.is_empty());
 }
 
@@ -320,9 +324,7 @@ fn concurrent_searches_stay_consistent_through_grow_and_shrink() {
                 let options = QueryOptions::default();
                 let mut i = reader;
                 while !stop.load(Ordering::Relaxed) {
-                    let hits = db
-                        .search_scene(&varied_scene((i % 30) as i64), &options)
-                        .unwrap();
+                    let hits = search(&db, &varied_scene((i % 30) as i64), &options);
                     let mut seen = std::collections::HashSet::new();
                     for window in hits.windows(2) {
                         let ordered = window[0].score > window[1].score
@@ -442,9 +444,9 @@ fn mid_migration_snapshot_restores_exactly() {
             "id counter heals across a mid-migration restore"
         );
     }
-    let sharded = ShardedImageDatabase::with_shards(3);
+    let sharded = ReplicatedImageDatabase::with_topology(3, 1);
     assert_eq!(sharded.restore_from(&path).unwrap(), 49);
-    assert_eq!(sharded.get(RecordId(3)).unwrap().name, "seed-3");
+    assert_eq!(sharded.get(RecordId(3)).unwrap().unwrap().name, "seed-3");
     std::fs::remove_dir_all(&dir).ok();
 }
 

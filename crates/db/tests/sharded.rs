@@ -1,12 +1,14 @@
-//! Scatter-gather equivalence: `ShardedImageDatabase::search` must
-//! return the **bit-identical** ranked ids and scores of a single-shard
+//! Scatter-gather equivalence: an unreplicated
+//! `ReplicatedImageDatabase::with_topology(n, 1)` search must return the
+//! **bit-identical** ranked ids and scores of a single-shard
 //! [`ImageDatabase`] holding the same records — for every shard count,
 //! every option combination, and including score ties — plus a
 //! concurrent reader/writer stress test over the sharded topology.
 
+use be2d_core::convert_scene;
 use be2d_db::{
     CandidateSource, ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId,
-    ShardedImageDatabase,
+    ReplicatedImageDatabase, SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 
@@ -64,12 +66,19 @@ fn corpus(seed: u64, n: usize) -> Vec<Scene> {
     scenes
 }
 
+/// A scene query through the database's one search call.
+fn search(db: &ReplicatedImageDatabase, query: &Scene, options: &QueryOptions) -> Vec<SearchHit> {
+    db.search_traced(&convert_scene(query), options)
+        .expect("every shard has a healthy replica")
+        .0
+}
+
 /// Applies the same mutation history (inserts, removals, object edits)
 /// to a single-shard and an N-shard database, so both hold identical
 /// records under identical global ids.
-fn build_pair(scenes: &[Scene], shards: usize) -> (ImageDatabase, ShardedImageDatabase) {
+fn build_pair(scenes: &[Scene], shards: usize) -> (ImageDatabase, ReplicatedImageDatabase) {
     let mut single = ImageDatabase::new();
-    let sharded = ShardedImageDatabase::with_shards(shards);
+    let sharded = ReplicatedImageDatabase::with_topology(shards, 1);
     for (i, scene) in scenes.iter().enumerate() {
         let a = single.insert_scene(&format!("img{i}"), scene).unwrap();
         let b = sharded.insert_scene(&format!("img{i}"), scene).unwrap();
@@ -155,7 +164,7 @@ fn sharded_ranking_is_bit_identical_to_single_shard() {
         for (label, options) in option_variants() {
             for (qi, query) in queries.iter().enumerate() {
                 let expect = single.search_scene(query, &options);
-                let got = sharded.search_scene(query, &options);
+                let got = search(&sharded, query, &options);
                 assert_eq!(
                     expect.len(),
                     got.len(),
@@ -184,7 +193,7 @@ fn duplicate_corpus_ties_preserve_global_order() {
     let mut rng = Lcg(99);
     let scene = random_scene(&mut rng);
     for shards in [2usize, 4, 8] {
-        let sharded = ShardedImageDatabase::with_shards(shards);
+        let sharded = ReplicatedImageDatabase::with_topology(shards, 1);
         let mut single = ImageDatabase::new();
         for i in 0..33 {
             single.insert_scene(&format!("dup{i}"), &scene).unwrap();
@@ -195,7 +204,7 @@ fn duplicate_corpus_ties_preserve_global_order() {
             ..QueryOptions::default()
         };
         let expect = single.search_scene(&scene, &options);
-        let got = sharded.search_scene(&scene, &options);
+        let got = search(&sharded, &scene, &options);
         assert_eq!(expect.len(), 33);
         assert_eq!(got.len(), 33);
         for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
@@ -208,7 +217,7 @@ fn duplicate_corpus_ties_preserve_global_order() {
 #[test]
 fn concurrent_writers_on_other_shards_during_search() {
     let scenes = corpus(0xABCD, 64);
-    let sharded = ShardedImageDatabase::with_shards(4);
+    let sharded = ReplicatedImageDatabase::with_topology(4, 1);
     for (i, scene) in scenes.iter().enumerate() {
         sharded.insert_scene(&format!("img{i}"), scene).unwrap();
     }
@@ -228,7 +237,7 @@ fn concurrent_writers_on_other_shards_during_search() {
             readers.push(scope.spawn(move || {
                 let mut total = 0usize;
                 for round in 0..40 {
-                    let hits = db.search_scene(&queries[(reader + round) % queries.len()], options);
+                    let hits = search(&db, &queries[(reader + round) % queries.len()], options);
                     // Whatever interleaving the writers produce, every
                     // observed result set must be internally coherent.
                     assert!(hits.len() <= 20);
@@ -285,14 +294,14 @@ fn inserts_racing_restore_never_fail_or_reuse_ids() {
     // *fresh* database (id counter at 0) while writer threads insert:
     // every insert must succeed with a unique id even when its
     // pre-allocated slot is suddenly occupied by restored records.
-    let source = ShardedImageDatabase::with_shards(4);
+    let source = ReplicatedImageDatabase::with_topology(4, 1);
     for (i, scene) in scenes.iter().enumerate() {
         source.insert_scene(&format!("img{i}"), scene).unwrap();
     }
     source.save_snapshot(&path).unwrap();
 
     for round in 0..8 {
-        let db = ShardedImageDatabase::with_shards(4);
+        let db = ReplicatedImageDatabase::with_topology(4, 1);
         let ids = std::thread::scope(|scope| {
             let restorer = {
                 let db = db.clone();
@@ -325,7 +334,7 @@ fn inserts_racing_restore_never_fail_or_reuse_ids() {
         // holds a restored "img*" record, or nothing) or after it (its
         // own record survives). Nothing else may occupy a handed-out id.
         for id in ids {
-            if let Some(record) = db.get(id) {
+            if let Some(record) = db.get(id).unwrap() {
                 assert!(
                     record.name.starts_with(&format!("r{round}-w"))
                         || record.name.starts_with("img"),
@@ -347,7 +356,7 @@ fn sharded_snapshot_survives_topology_change_with_identical_ranking() {
     let path = dir.join("snap.json");
     sharded.save_snapshot(&path).unwrap();
 
-    let restored = ShardedImageDatabase::with_shards(2);
+    let restored = ReplicatedImageDatabase::with_topology(2, 1);
     restored.restore_from(&path).unwrap();
     let options = QueryOptions {
         top_k: None,
@@ -356,7 +365,7 @@ fn sharded_snapshot_survives_topology_change_with_identical_ranking() {
     };
     for query in corpus(0x77, 5) {
         let expect = single.search_scene(&query, &options);
-        let got = restored.search_scene(&query, &options);
+        let got = search(&restored, &query, &options);
         assert_eq!(expect.len(), got.len());
         for (a, b) in expect.iter().zip(&got) {
             assert_eq!(a.id, b.id);

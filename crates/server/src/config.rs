@@ -23,10 +23,10 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Replicas per shard. 1 (the default) is the unreplicated
     /// deployment; more replicas spread reads across copies, survive
-    /// replica failure (`POST /admin/replicas/fail`), and rebuild from
-    /// a healthy peer (`POST /admin/replicas/heal`). 0 is clamped to 1.
+    /// replica failure (`POST /v1/admin/replicas/fail`), and rebuild from
+    /// a healthy peer (`POST /v1/admin/replicas/heal`). 0 is clamped to 1.
     pub replicas: usize,
-    /// Global ids swept per online-reshard batch (`POST /admin/reshard`
+    /// Global ids swept per online-reshard batch (`POST /v1/admin/reshard`
     /// when the request names no batch size). Smaller batches mean
     /// shorter per-batch write pauses; larger ones finish the migration
     /// in fewer stop-the-world steps.
@@ -72,7 +72,7 @@ pub struct ServerConfig {
     pub max_head_bytes: usize,
     /// Maximum bytes of request body.
     pub max_body_bytes: usize,
-    /// Directory all `POST /snapshot` / `POST /restore` files live in.
+    /// Directory all `POST /v1/snapshot` / `POST /v1/restore` files live in.
     /// Request bodies may choose a *file name* inside it, never a path
     /// outside it — network peers must not get arbitrary-path
     /// filesystem access.

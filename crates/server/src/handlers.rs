@@ -6,8 +6,8 @@ use crate::api::{
     PathRequest, PlannerSection, ReplicaLagDto, ReplicaRequest, ReplicaResponse,
     ReplicationSection, ReshardRequest, ReshardResponse, ReshardSection, SearchQuery,
     SearchRequest, SearchResponse, ServiceSection, ShardReplicationDto, SketchRequest,
-    SlowQueriesResponse, SlowQueryDto, SnapshotResponse, StatsResponse, StatsV1Response,
-    TopologySection, TraceDto, TracedSearchResponse, WalSection, WindowStatsDto, WindowsSection,
+    SlowQueriesResponse, SlowQueryDto, SnapshotResponse, StatsV1Response, TopologySection,
+    TraceDto, TracedSearchResponse, WalSection, WindowStatsDto, WindowsSection,
 };
 use crate::health::{evaluate, replica_verdict, ServerWindows, Verdict, W10S, W1M, W5M};
 use crate::http::{default_code, Request, Response};
@@ -15,10 +15,11 @@ use crate::metrics::{build_registry, HttpMetrics};
 use crate::router::{resolve, Route};
 use crate::slowlog::{SlowQueryEntry, SlowQueryLog};
 use crate::ServerConfig;
+use be2d_core::{convert_scene, BeString2D};
 use be2d_db::sketch::Sketch;
 use be2d_db::{
-    QueryOptions, QueryTrace, RecordId, ReplicatedImageDatabase, ReplicationMode, Resharder,
-    SearchHit,
+    DbError, QueryOptions, QueryTrace, RecordId, ReplicatedImageDatabase, ReplicationMode,
+    Resharder, SearchHit,
 };
 use be2d_metrics::Registry;
 use serde::Value;
@@ -66,14 +67,14 @@ pub struct AppState {
     pub windows: Arc<ServerWindows>,
     /// Query options applied when a request sends none.
     pub default_options: QueryOptions,
-    /// Set by `POST /admin/shutdown`; the accept loop watches it.
+    /// Set by `POST /v1/admin/shutdown`; the accept loop watches it.
     pub shutdown: AtomicBool,
-    /// Admission token for `POST /admin/reshard`: exactly one request
+    /// Admission token for `POST /v1/admin/reshard`: exactly one request
     /// may hold it from acceptance until its background migration
     /// thread finishes, making the 409-on-concurrent-reshard check
     /// atomic (shared with that thread, hence the `Arc`).
     pub reshard_inflight: Arc<AtomicBool>,
-    /// Worker-thread count (for `/stats`).
+    /// Worker-thread count (for `/v1/stats`).
     pub threads: usize,
     /// The server's bound address; used to poke the blocking accept
     /// loop awake when shutdown is requested over HTTP.
@@ -134,13 +135,10 @@ impl AppState {
 }
 
 /// Serves one parsed request, updating the stats counters and the
-/// per-route latency histogram. Requests on legacy unversioned paths
-/// are answered with a `deprecation: true` header (success and error
-/// alike) — the `/v1/` namespace is the current surface.
+/// per-route latency histogram.
 pub fn handle(state: &AppState, request: &Request) -> Response {
     let start = Instant::now();
     let resolved = resolve(request.method, &request.path);
-    let deprecated = resolved.as_ref().is_ok_and(|r| r.deprecated);
     let route = resolved.as_ref().ok().map(|r| r.route);
     let response = match resolved {
         Ok(resolved) => {
@@ -158,11 +156,7 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
         .http_metrics
         .record(route, response.status, start.elapsed());
     state.windows.observe(response.status, start.elapsed());
-    if deprecated {
-        response.with_header("deprecation", "true")
-    } else {
-        response
-    }
+    response
 }
 
 fn dispatch(state: &AppState, route: Route, request: &Request) -> Result<Response, ApiError> {
@@ -180,7 +174,6 @@ fn dispatch(state: &AppState, route: Route, request: &Request) -> Result<Respons
         Route::Search => search(state, &body_of(request)?),
         Route::SearchSketch => search_sketch(state, &body_of(request)?),
         Route::Stats => Ok(stats(state)),
-        Route::StatsV1 => Ok(stats_v1(state)),
         Route::Snapshot => snapshot(state, &body_of(request)?),
         Route::Restore => restore(state, &body_of(request)?),
         Route::ReplicaFail => replica_health(state, &body_of(request)?, false),
@@ -262,7 +255,6 @@ fn metrics(state: &AppState) -> Response {
         status: 200,
         body: state.registry.render().into_bytes(),
         content_type: "text/plain; version=0.0.4",
-        headers: Vec::new(),
     }
 }
 
@@ -418,22 +410,17 @@ fn search(state: &AppState, body: &Value) -> Result<Response, ApiError> {
     // Always the traced path: metrics and the slow-query ring see every
     // search, and tracing is the only search implementation, so the
     // rankings cannot depend on whether the breakdown is returned.
-    let (kind, (hits, trace)) = match &req.query {
-        SearchQuery::Scene(scene) => (
-            "scene",
-            state
-                .db
-                .search_scene_traced(scene, &req.options)
-                .map_err(|e| ApiError::from_db(&e))?,
-        ),
+    let (kind, query) = match &req.query {
+        SearchQuery::Scene(scene) => ("scene", convert_scene(scene)),
         SearchQuery::Text { u, v } => (
             "text",
-            state
-                .db
-                .search_text_traced(u, v, &req.options)
-                .map_err(|e| ApiError::from_db(&e))?,
+            BeString2D::parse(u, v).map_err(|e| ApiError::from_db(&DbError::from(e)))?,
         ),
     };
+    let (hits, trace) = state
+        .db
+        .search_traced(&query, &req.options)
+        .map_err(|e| ApiError::from_db(&e))?;
     state.stats.searches.fetch_add(1, Ordering::Relaxed);
     offer_slow(state, kind, &hits, &req.options, &trace);
     Ok(search_response(&hits, &trace, req.trace))
@@ -446,14 +433,14 @@ fn search_sketch(state: &AppState, body: &Value) -> Result<Response, ApiError> {
         .map_err(|e| ApiError::from_db(&e))?;
     let (hits, trace) = state
         .db
-        .search_scene_traced(&scene, &req.options)
+        .search_traced(&convert_scene(&scene), &req.options)
         .map_err(|e| ApiError::from_db(&e))?;
     state.stats.searches.fetch_add(1, Ordering::Relaxed);
     offer_slow(state, "sketch", &hits, &req.options, &trace);
     Ok(search_response(&hits, &trace, req.trace))
 }
 
-/// `POST /admin/replicas/fail` / `heal`: fault injection and recovery
+/// `POST /v1/admin/replicas/fail` / `heal`: fault injection and recovery
 /// for one replica. Healing rebuilds the replica's state from a
 /// healthy peer before it rejoins rotation.
 fn replica_health(state: &AppState, body: &Value, heal: bool) -> Result<Response, ApiError> {
@@ -474,8 +461,8 @@ fn replica_health(state: &AppState, body: &Value, heal: bool) -> Result<Response
     ))
 }
 
-/// `POST /admin/reshard`: start an online reshard in the background.
-/// The request returns immediately (202); `GET /stats` reports
+/// `POST /v1/admin/reshard`: start an online reshard in the background.
+/// The request returns immediately (202); `GET /v1/stats` reports
 /// progress, and the migration keeps serving reads and writes with
 /// rankings unchanged throughout.
 fn reshard(state: &AppState, body: &Value) -> Result<Response, ApiError> {
@@ -542,46 +529,9 @@ fn reshard(state: &AppState, body: &Value) -> Result<Response, ApiError> {
     ))
 }
 
+/// `GET /v1/stats`: database, replication, planner, reshard, op-log and
+/// service statistics in nested sections.
 fn stats(state: &AppState) -> Response {
-    // One simultaneous read lock over all replicas of all shards: the
-    // reported records/classes/objects combination is never torn by a
-    // concurrent write.
-    let db_stats = state.db.stats();
-    let reshard = state.db.reshard_progress();
-    json_response(
-        200,
-        &StatsResponse {
-            records: db_stats.shard_records.iter().sum(),
-            classes: db_stats.classes,
-            objects: db_stats.objects,
-            shards: state.db.shard_count(),
-            replicas: state.db.replica_count(),
-            shard_records: db_stats.shard_records,
-            replica_records: db_stats.replica_records,
-            replica_health: db_stats.replica_health,
-            planner_skipped: state.db.planner_skipped(),
-            reshard_active: reshard.active,
-            reshard_from: reshard.from,
-            reshard_to: reshard.to,
-            reshard_migrated_ids: reshard.migrated_ids,
-            reshard_total_ids: reshard.total_ids,
-            reshard_moved_records: reshard.moved_records,
-            requests: state.stats.requests.load(Ordering::Relaxed),
-            searches: state.stats.searches.load(Ordering::Relaxed),
-            inserts: state.stats.inserts.load(Ordering::Relaxed),
-            edits: state.stats.edits.load(Ordering::Relaxed),
-            errors: state.stats.errors.load(Ordering::Relaxed),
-            shed: state.stats.shed.load(Ordering::Relaxed),
-            threads: state.threads,
-            uptime_s: state.started.elapsed().as_secs_f64(),
-        },
-    )
-}
-
-/// `GET /v1/stats`: the nested sections. Every fact of the legacy flat
-/// shape appears here too, plus the replication and op-log state that
-/// the flat shape predates.
-fn stats_v1(state: &AppState) -> Response {
     let db_stats = state.db.stats();
     let reshard = state.db.reshard_progress();
     let replication = state.db.replication_stats();
@@ -753,7 +703,7 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":"left","scene":{SCENE_AB}}}"#),
             ),
         );
@@ -768,7 +718,7 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/search",
+                "/v1/search",
                 &format!(r#"{{"scene":{SCENE_AB},"options":{{"top_k":1}}}}"#),
             ),
         );
@@ -776,9 +726,9 @@ mod tests {
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("\"name\":\"left\""), "{body}");
 
-        let resp = handle(&state, &request(Method::Delete, "/images/0", ""));
+        let resp = handle(&state, &request(Method::Delete, "/v1/images/0", ""));
         assert_eq!(resp.status, 200);
-        let resp = handle(&state, &request(Method::Delete, "/images/0", ""));
+        let resp = handle(&state, &request(Method::Delete, "/v1/images/0", ""));
         assert_eq!(resp.status, 404, "double delete");
 
         assert_eq!(state.stats.inserts.load(Ordering::Relaxed), 1);
@@ -793,28 +743,36 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":"x","scene":{SCENE_AB}}}"#),
             ),
         );
         let add = r#"{"class":"C","mbr":[1,9,1,9]}"#;
         assert_eq!(
-            handle(&state, &request(Method::Post, "/images/0/objects", add)).status,
+            handle(&state, &request(Method::Post, "/v1/images/0/objects", add)).status,
             200
         );
         assert_eq!(
-            handle(&state, &request(Method::Delete, "/images/0/objects", add)).status,
+            handle(
+                &state,
+                &request(Method::Delete, "/v1/images/0/objects", add)
+            )
+            .status,
             200
         );
         // removing it again is a semantic failure → 422
         assert_eq!(
-            handle(&state, &request(Method::Delete, "/images/0/objects", add)).status,
+            handle(
+                &state,
+                &request(Method::Delete, "/v1/images/0/objects", add)
+            )
+            .status,
             422
         );
         // an MBR outside the frame is a semantic failure → 422
         let out = r#"{"class":"C","mbr":[1,500,1,9]}"#;
         assert_eq!(
-            handle(&state, &request(Method::Post, "/images/0/objects", out)).status,
+            handle(&state, &request(Method::Post, "/v1/images/0/objects", out)).status,
             422
         );
     }
@@ -826,7 +784,7 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":"ab","scene":{SCENE_AB}}}"#),
             ),
         );
@@ -834,7 +792,7 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/search/sketch",
+                "/v1/search/sketch",
                 r#"{"sketch":"A left-of B"}"#,
             ),
         );
@@ -843,7 +801,11 @@ mod tests {
 
         let resp = handle(
             &state,
-            &request(Method::Post, "/search/sketch", r#"{"sketch":"A nextto B"}"#),
+            &request(
+                Method::Post,
+                "/v1/search/sketch",
+                r#"{"sketch":"A nextto B"}"#,
+            ),
         );
         assert_eq!(resp.status, 422);
     }
@@ -860,15 +822,20 @@ mod tests {
             404
         );
         assert_eq!(
-            handle(&state, &request(Method::Get, "/images", "")).status,
+            handle(&state, &request(Method::Get, "/stats", "")).status,
+            404,
+            "unversioned aliases are gone"
+        );
+        assert_eq!(
+            handle(&state, &request(Method::Get, "/v1/images", "")).status,
             405
         );
         assert_eq!(
-            handle(&state, &request(Method::Delete, "/images/zz", "")).status,
+            handle(&state, &request(Method::Delete, "/v1/images/zz", "")).status,
             400
         );
         assert_eq!(
-            handle(&state, &request(Method::Post, "/search", "{broken")).status,
+            handle(&state, &request(Method::Post, "/v1/search", "{broken")).status,
             400
         );
     }
@@ -890,12 +857,12 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":"keep","scene":{SCENE_AB}}}"#),
             ),
         );
         let body = r#"{"path":"cycle.json"}"#;
-        let resp = handle(&state, &request(Method::Post, "/snapshot", body));
+        let resp = handle(&state, &request(Method::Post, "/v1/snapshot", body));
         assert_eq!(
             resp.status,
             200,
@@ -909,27 +876,27 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":"extra","scene":{SCENE_AB}}}"#),
             ),
         );
         assert_eq!(state.db.len(), 2);
-        let resp = handle(&state, &request(Method::Post, "/restore", body));
+        let resp = handle(&state, &request(Method::Post, "/v1/restore", body));
         assert_eq!(resp.status, 200);
         assert_eq!(state.db.len(), 1);
 
         // restoring a missing file is a persistence error
         let resp = handle(
             &state,
-            &request(Method::Post, "/restore", r#"{"path":"missing.json"}"#),
+            &request(Method::Post, "/v1/restore", r#"{"path":"missing.json"}"#),
         );
         assert_eq!(resp.status, 500);
 
         // arbitrary filesystem paths are rejected before touching disk
         for escape in [r#"{"path":"/etc/hostname"}"#, r#"{"path":"../../x.json"}"#] {
-            let resp = handle(&state, &request(Method::Post, "/snapshot", escape));
+            let resp = handle(&state, &request(Method::Post, "/v1/snapshot", escape));
             assert_eq!(resp.status, 400, "{escape}");
-            let resp = handle(&state, &request(Method::Post, "/restore", escape));
+            let resp = handle(&state, &request(Method::Post, "/v1/restore", escape));
             assert_eq!(resp.status, 400, "{escape}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -938,7 +905,7 @@ mod tests {
     #[test]
     fn stats_and_shutdown() {
         let state = state();
-        let resp = handle(&state, &request(Method::Get, "/stats", ""));
+        let resp = handle(&state, &request(Method::Get, "/v1/stats", ""));
         assert_eq!(resp.status, 200);
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("\"records\":0"), "{body}");
@@ -951,10 +918,10 @@ mod tests {
             body.contains("\"replica_health\":[[true,true],[true,true]]"),
             "{body}"
         );
-        assert!(body.contains("\"planner_skipped\":0"), "{body}");
+        assert!(body.contains("\"skipped\":0"), "{body}");
 
         assert!(!state.shutting_down());
-        let resp = handle(&state, &request(Method::Post, "/admin/shutdown", ""));
+        let resp = handle(&state, &request(Method::Post, "/v1/admin/shutdown", ""));
         assert_eq!(resp.status, 200);
         assert!(state.shutting_down());
     }
@@ -1007,7 +974,7 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":"seed","scene":{SCENE_AB}}}"#),
             ),
         );
@@ -1065,14 +1032,17 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":"kept","scene":{SCENE_AB}}}"#),
             ),
         );
 
         // Fail replica 1 of shard 0: searches keep answering.
         let body = r#"{"shard":0,"replica":1}"#;
-        let resp = handle(&state, &request(Method::Post, "/admin/replicas/fail", body));
+        let resp = handle(
+            &state,
+            &request(Method::Post, "/v1/admin/replicas/fail", body),
+        );
         assert_eq!(
             resp.status,
             200,
@@ -1086,13 +1056,13 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/search",
+                "/v1/search",
                 &format!(r#"{{"scene":{SCENE_AB}}}"#),
             ),
         );
         assert_eq!(resp.status, 200);
         assert!(String::from_utf8(resp.body).unwrap().contains("\"kept\""));
-        let resp = handle(&state, &request(Method::Get, "/stats", ""));
+        let resp = handle(&state, &request(Method::Get, "/v1/stats", ""));
         let stats_body = String::from_utf8(resp.body).unwrap();
         assert!(
             stats_body.contains("\"replica_health\":[[true,false],[true,true]]"),
@@ -1104,7 +1074,7 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/admin/replicas/fail",
+                "/v1/admin/replicas/fail",
                 r#"{"shard":0,"replica":0}"#,
             ),
         );
@@ -1116,12 +1086,15 @@ mod tests {
         );
 
         // Heal rebuilds from the healthy peer and rejoins.
-        let resp = handle(&state, &request(Method::Post, "/admin/replicas/heal", body));
+        let resp = handle(
+            &state,
+            &request(Method::Post, "/v1/admin/replicas/heal", body),
+        );
         assert_eq!(resp.status, 200);
         assert!(String::from_utf8(resp.body)
             .unwrap()
             .contains("\"healthy\":true"));
-        let resp = handle(&state, &request(Method::Get, "/stats", ""));
+        let resp = handle(&state, &request(Method::Get, "/v1/stats", ""));
         let stats_body = String::from_utf8(resp.body).unwrap();
         assert!(
             stats_body.contains("\"replica_health\":[[true,true],[true,true]]"),
@@ -1133,14 +1106,14 @@ mod tests {
             &state,
             &request(
                 Method::Post,
-                "/admin/replicas/heal",
+                "/v1/admin/replicas/heal",
                 r#"{"shard":9,"replica":0}"#,
             ),
         );
         assert_eq!(resp.status, 409);
         let resp = handle(
             &state,
-            &request(Method::Post, "/admin/replicas/fail", r#"{"shard":0}"#),
+            &request(Method::Post, "/v1/admin/replicas/fail", r#"{"shard":0}"#),
         );
         assert_eq!(resp.status, 400);
     }
@@ -1153,7 +1126,7 @@ mod tests {
                 &state,
                 &request(
                     Method::Post,
-                    "/images",
+                    "/v1/images",
                     &format!(r#"{{"name":"img-{i}","scene":{SCENE_AB}}}"#),
                 ),
             );
@@ -1162,7 +1135,7 @@ mod tests {
         // Same-count target: 200 no-op, nothing started.
         let resp = handle(
             &state,
-            &request(Method::Post, "/admin/reshard", r#"{"shards":2}"#),
+            &request(Method::Post, "/v1/admin/reshard", r#"{"shards":2}"#),
         );
         assert_eq!(resp.status, 200);
         assert!(String::from_utf8(resp.body)
@@ -1172,7 +1145,11 @@ mod tests {
         // Growth: accepted, runs in the background, lands on 4 shards.
         let resp = handle(
             &state,
-            &request(Method::Post, "/admin/reshard", r#"{"shards":4,"batch":3}"#),
+            &request(
+                Method::Post,
+                "/v1/admin/reshard",
+                r#"{"shards":4,"batch":3}"#,
+            ),
         );
         assert_eq!(
             resp.status,
@@ -1193,20 +1170,20 @@ mod tests {
         assert_eq!(state.db.len(), 12);
 
         // Stats report the finished migration.
-        let resp = handle(&state, &request(Method::Get, "/stats", ""));
+        let resp = handle(&state, &request(Method::Get, "/v1/stats", ""));
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("\"shards\":4"), "{body}");
-        assert!(body.contains("\"reshard_active\":false"), "{body}");
-        assert!(body.contains("\"reshard_from\":2"), "{body}");
-        assert!(body.contains("\"reshard_to\":4"), "{body}");
-        assert!(body.contains("\"reshard_migrated_ids\":12"), "{body}");
+        assert!(
+            body.contains("\"reshard\":{\"active\":false,\"from\":2,\"to\":4,\"migrated_ids\":12,"),
+            "{body}"
+        );
 
         // Searches still answer with the full corpus.
         let resp = handle(
             &state,
             &request(
                 Method::Post,
-                "/search",
+                "/v1/search",
                 &format!(r#"{{"scene":{SCENE_AB},"options":{{"top_k":null}}}}"#),
             ),
         );
@@ -1215,7 +1192,7 @@ mod tests {
         // Malformed bodies are 400.
         let resp = handle(
             &state,
-            &request(Method::Post, "/admin/reshard", r#"{"shards":0}"#),
+            &request(Method::Post, "/v1/admin/reshard", r#"{"shards":0}"#),
         );
         assert_eq!(resp.status, 400);
     }

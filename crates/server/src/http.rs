@@ -325,8 +325,6 @@ pub struct Response {
     pub body: Vec<u8>,
     /// `Content-Type` of the body.
     pub content_type: &'static str,
-    /// Extra response headers (lower-case names), e.g. `deprecation`.
-    pub headers: Vec<(&'static str, String)>,
 }
 
 impl Response {
@@ -337,15 +335,7 @@ impl Response {
             status,
             body: body.into_bytes(),
             content_type: "application/json",
-            headers: Vec::new(),
         }
-    }
-
-    /// Adds one extra response header.
-    #[must_use]
-    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Response {
-        self.headers.push((name, value.into()));
-        self
     }
 
     /// The unified JSON error envelope:
@@ -379,21 +369,14 @@ impl Response {
     ///
     /// Propagates socket write errors.
     pub fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+        let head = format!(
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
             self.status,
             status_reason(self.status),
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
         );
-        for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
         out.write_all(head.as_bytes())?;
         out.write_all(&self.body)?;
         out.flush()
@@ -615,18 +598,6 @@ mod tests {
         assert!(text.ends_with(
             "{\"error\":{\"code\":\"overloaded\",\"message\":\"server overloaded\",\"retryable\":true}}"
         ));
-    }
-
-    #[test]
-    fn extra_headers_are_emitted() {
-        let mut out = Vec::new();
-        Response::json(200, "{}".into())
-            .with_header("deprecation", "true")
-            .write_to(&mut out, true)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("deprecation: true\r\n"), "{text}");
-        assert!(text.ends_with("\r\n\r\n{}"), "{text}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The moving parts:
 //!
 //! * [`Server`] / [`ServerConfig`] — accept loop, keep-alive connection
-//!   lifecycle, graceful shutdown (`POST /admin/shutdown` or a
+//!   lifecycle, graceful shutdown (`POST /v1/admin/shutdown` or a
 //!   [`ServerHandle`]);
 //! * [`ThreadPool`] — bounded-queue workers; a full queue sheds new
 //!   connections with `503` instead of buffering unboundedly;
@@ -33,12 +33,9 @@
 //!
 //! # Endpoints
 //!
-//! The canonical surface lives under `/v1/`. Every route is also
-//! reachable at its historical unversioned path (same handler, same
-//! body), but those aliases are deprecated: they answer with a
-//! `Deprecation: true` header and may be removed in a future major
-//! version. `GET /healthz` is infrastructure, not API, and is neither
-//! versioned nor deprecated.
+//! Every route lives under `/v1/`; an unversioned path answers 404.
+//! The one exception is the liveness probe, which is infrastructure,
+//! not API, and answers on both `GET /healthz` and `GET /v1/healthz`.
 //!
 //! | method & path | body | effect |
 //! |---|---|---|
@@ -49,7 +46,6 @@
 //! | `POST /v1/search` | `{"scene"` or `"text", "options"?, "trace"?}` | ranked similarity search; `"trace": true` adds a per-stage timing breakdown |
 //! | `POST /v1/search/sketch` | `{"sketch", "options"?, "trace"?}` | spatial-pattern sketch search |
 //! | `GET /v1/stats` | — | nested statistics: topology, replication (per-replica lag), planner, reshard, op log, service |
-//! | `GET /stats` | — | legacy flat statistics shape (unchanged; still deprecated as a path) |
 //! | `GET /v1/metrics` | — | Prometheus text exposition (histograms, counters, gauges) |
 //! | `GET /v1/health` | — | per-subsystem health verdicts (shards, replicas, replication lag, WAL, SLO burn) rolled up to `ok`/`degraded`/`critical` |
 //! | `GET /v1/debug/slow_queries` | — | the worst traced queries retained in the slow-query ring |
@@ -88,7 +84,7 @@
 //! let mut client = Client::new(addr, Duration::from_secs(5));
 //! let body = r#"{"name":"one","scene":{"width":10,"height":10,
 //!     "objects":[{"class":"A","mbr":[1,4,1,4]}]}}"#;
-//! assert_eq!(client.request("POST", "/images", body)?.status, 201);
+//! assert_eq!(client.request("POST", "/v1/images", body)?.status, 201);
 //!
 //! handle.shutdown();
 //! runner.join().expect("server thread").unwrap();

@@ -52,10 +52,10 @@ pub struct LoadgenConfig {
     /// Hot/cold skew for choosing edit targets and search queries.
     /// `Skew::with_stride(p, shards)` aims the hot edits at records
     /// owned by shard 0 of an `--shards shards` server, so hot-shard
-    /// imbalance can be exercised on purpose (watch `/stats`
-    /// `shard_records`).
+    /// imbalance can be exercised on purpose (watch `/v1/stats`
+    /// `topology.shard_records`).
     pub skew: Skew,
-    /// When > 0, trigger a live `POST /admin/reshard` to this shard
+    /// When > 0, trigger a live `POST /v1/admin/reshard` to this shard
     /// count mid-run — the hot-shard-split scenario: skewed traffic
     /// keeps flowing while the server migrates, and the run still has
     /// to finish error-free.
@@ -66,9 +66,6 @@ pub struct LoadgenConfig {
     /// Batch-size override sent with the reshard request (0 = server
     /// default).
     pub reshard_batch: usize,
-    /// Drive the versioned `/v1/` API surface instead of the legacy
-    /// (deprecated) paths.
-    pub api_v1: bool,
     /// When > 0, every Nth search request sets `"trace": true` and the
     /// returned per-stage breakdown is folded into the report's `trace`
     /// section (0 = no tracing).
@@ -99,20 +96,8 @@ impl LoadgenConfig {
             reshard_to: 0,
             reshard_after: 0,
             reshard_batch: 0,
-            api_v1: false,
             trace_sample: 0,
             scrape_metrics: false,
-        }
-    }
-
-    /// Prefixes `path` with `/v1` when the run drives the versioned
-    /// API surface.
-    #[must_use]
-    pub fn api_path(&self, path: &str) -> String {
-        if self.api_v1 {
-            format!("/v1{path}")
-        } else {
-            path.to_owned()
         }
     }
 }
@@ -184,7 +169,7 @@ pub struct LoadgenReport {
     pub rate_rps: f64,
     /// The live-reshard target fired mid-run (0 = no reshard scenario).
     pub reshard_to: usize,
-    /// Wall-clock milliseconds from the reshard request until `/stats`
+    /// Wall-clock milliseconds from the reshard request until `/v1/stats`
     /// reported the migration finished (0 when no reshard ran).
     pub reshard_duration_ms: f64,
     /// Requests actually performed per kind (fallbacks included).
@@ -366,7 +351,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                 r#"{{"name":"prefill-{id}","scene":{}}}"#,
                 scene_to_json(scene)
             );
-            let response = client.request("POST", &config.api_path("/images"), &body)?;
+            let response = client.request("POST", "/v1/images", &body)?;
             if response.status != 201 {
                 return Err(io::Error::other(format!(
                     "prefill insert failed with {}: {}",
@@ -399,7 +384,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let completed = std::sync::atomic::AtomicUsize::new(0);
     let (outcomes, reshard_outcome) = std::thread::scope(|scope| {
         // The live-reshard scenario: once enough requests completed,
-        // fire POST /admin/reshard and poll /stats until the migration
+        // fire POST /v1/admin/reshard and poll /v1/stats until the migration
         // finishes — all while the workers keep the load flowing.
         let admin = (config.reshard_to > 0).then(|| {
             let completed = &completed;
@@ -572,7 +557,7 @@ fn summarise_traces(traces: &[TraceSample]) -> Option<TraceStages> {
 
 /// How the mid-run reshard trigger ended.
 enum ReshardOutcome {
-    /// `/stats` confirmed the migration finished after this many
+    /// `/v1/stats` confirmed the migration finished after this many
     /// wall-clock milliseconds.
     Finished { duration_ms: f64 },
     /// The request failed or the migration never finished in time.
@@ -580,7 +565,7 @@ enum ReshardOutcome {
 }
 
 /// Waits for `reshard_after` completed requests, fires
-/// `POST /admin/reshard`, then polls `/stats` until the migration
+/// `POST /v1/admin/reshard`, then polls `/v1/stats` until the migration
 /// reports done.
 fn run_reshard_trigger(
     config: &LoadgenConfig,
@@ -602,7 +587,7 @@ fn run_reshard_trigger(
     };
     let fired = Instant::now();
     let accepted = client
-        .request("POST", &config.api_path("/admin/reshard"), &body)
+        .request("POST", "/v1/admin/reshard", &body)
         .map(|response| response.status == 202 || response.status == 200)
         .unwrap_or(false);
     if !accepted {
@@ -610,9 +595,7 @@ fn run_reshard_trigger(
     }
     let deadline = Instant::now() + Duration::from_secs(120);
     while Instant::now() < deadline {
-        // Always the legacy endpoint: reshard_finished parses the flat
-        // stats shape, which /v1/stats deliberately abandoned.
-        if let Ok(response) = client.request("GET", "/stats", "") {
+        if let Ok(response) = client.request("GET", "/v1/stats", "") {
             if response.status == 200 && reshard_finished(&response.body, config.reshard_to) {
                 return ReshardOutcome::Finished {
                     duration_ms: fired.elapsed().as_secs_f64() * 1e3,
@@ -624,7 +607,8 @@ fn run_reshard_trigger(
     ReshardOutcome::Failed
 }
 
-/// Whether a `/stats` body says the migration to `to` shards is done.
+/// Whether a `/v1/stats` body says the migration to `to` shards is
+/// done: `reshard.active` is false and `topology.shards` is the target.
 fn reshard_finished(body: &[u8], to: usize) -> bool {
     let Ok(text) = std::str::from_utf8(body) else {
         return false;
@@ -632,13 +616,17 @@ fn reshard_finished(body: &[u8], to: usize) -> bool {
     let Ok(value) = serde_json::from_str::<Value>(text) else {
         return false;
     };
-    let Some(map) = value.as_map() else {
-        return false;
+    let lookup = |section: &str, key: &str| {
+        let find = |map: &[(String, Value)], name: &str| {
+            map.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+        };
+        find(value.as_map()?, section)?
+            .as_map()
+            .and_then(|map| find(map, key))
     };
-    let lookup = |key: &str| map.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let inactive = matches!(lookup("reshard_active"), Some(Value::Bool(false)));
-    let on_target = lookup("shards")
-        .and_then(|v| u64::from_value(v).ok())
+    let inactive = matches!(lookup("reshard", "active"), Some(Value::Bool(false)));
+    let on_target = lookup("topology", "shards")
+        .and_then(|v| u64::from_value(&v).ok())
         .is_some_and(|shards| shards == to as u64);
     inactive && on_target
 }
@@ -760,20 +748,18 @@ fn perform(
                 r#"{{"name":"lg-{index}","scene":{}}}"#,
                 scene_to_json(&scene)
             );
-            client
-                .request("POST", &config.api_path("/images"), &body)
-                .map(|response| {
-                    let ok = response.status == 201;
-                    if ok {
-                        if let Some(id) = inserted_id(&response.body) {
-                            owned.push(OwnedImage {
-                                id,
-                                added_objects: 0,
-                            });
-                        }
+            client.request("POST", "/v1/images", &body).map(|response| {
+                let ok = response.status == 201;
+                if ok {
+                    if let Some(id) = inserted_id(&response.body) {
+                        owned.push(OwnedImage {
+                            id,
+                            added_objects: 0,
+                        });
                     }
-                    ok
-                })
+                }
+                ok
+            })
         }
         RequestKind::RemoveImage => {
             let slot = pick_owned(&config.skew, owned, rng);
@@ -781,18 +767,14 @@ fn perform(
             // oldest owned images", which swap_remove would scramble.
             let image = owned.remove(slot);
             client
-                .request(
-                    "DELETE",
-                    &config.api_path(&format!("/images/{}", image.id)),
-                    "",
-                )
+                .request("DELETE", &format!("/v1/images/{}", image.id), "")
                 .map(|response| response.status == 200)
         }
         RequestKind::AddObject => {
             let slot = pick_owned(&config.skew, owned, rng);
             let image = &mut owned[slot];
             let body = loadgen_object_body();
-            let path = config.api_path(&format!("/images/{}/objects", image.id));
+            let path = format!("/v1/images/{}/objects", image.id);
             client.request("POST", &path, &body).map(|response| {
                 let ok = response.status == 200;
                 if ok {
@@ -808,7 +790,7 @@ fn perform(
                 .expect("effective_kind guarantees a target");
             let image = &mut owned[slot];
             let body = loadgen_object_body();
-            let path = config.api_path(&format!("/images/{}/objects", image.id));
+            let path = format!("/v1/images/{}/objects", image.id);
             client.request("DELETE", &path, &body).map(|response| {
                 let ok = response.status == 200;
                 if ok {
@@ -833,17 +815,15 @@ fn perform(
                 scene_to_json(&query.scene),
                 if traced { r#","trace":true"# } else { "" }
             );
-            client
-                .request("POST", &config.api_path("/search"), &body)
-                .map(|response| {
-                    let ok = response.status == 200;
-                    if ok && traced {
-                        if let Some(sample) = parse_trace(&response.body) {
-                            traces.push(sample);
-                        }
+            client.request("POST", "/v1/search", &body).map(|response| {
+                let ok = response.status == 200;
+                if ok && traced {
+                    if let Some(sample) = parse_trace(&response.body) {
+                        traces.push(sample);
                     }
-                    ok
-                })
+                }
+                ok
+            })
         }
         RequestKind::SearchSketch => {
             let sketches = [
@@ -853,11 +833,11 @@ fn perform(
             ];
             let body = sketches[index % sketches.len()];
             client
-                .request("POST", &config.api_path("/search/sketch"), body)
+                .request("POST", "/v1/search/sketch", body)
                 .map(|response| response.status == 200)
         }
         RequestKind::Stats => client
-            .request("GET", &config.api_path("/stats"), "")
+            .request("GET", "/v1/stats", "")
             .map(|response| response.status == 200),
     };
     result.unwrap_or(false)
@@ -1108,15 +1088,19 @@ garbage line without value\n";
     #[test]
     fn reshard_finished_parses_stats_bodies() {
         assert!(reshard_finished(
-            br#"{"shards":8,"reshard_active":false,"records":10}"#,
+            br#"{"records":10,"topology":{"shards":8},"reshard":{"active":false}}"#,
             8
         ));
         assert!(!reshard_finished(
-            br#"{"shards":8,"reshard_active":true}"#,
+            br#"{"topology":{"shards":8},"reshard":{"active":true}}"#,
             8
         ));
         assert!(!reshard_finished(
-            br#"{"shards":4,"reshard_active":false}"#,
+            br#"{"topology":{"shards":4},"reshard":{"active":false}}"#,
+            8
+        ));
+        assert!(!reshard_finished(
+            br#"{"shards":8,"reshard_active":false}"#,
             8
         ));
         assert!(!reshard_finished(b"not json", 8));

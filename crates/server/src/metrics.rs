@@ -17,14 +17,13 @@ use be2d_metrics::{Counter, Gauge, Histogram, Registry};
 
 /// Stable `route` label values, one per [`Route`] variant plus the
 /// `"unmatched"` bucket for 404/405/400-id requests.
-pub(crate) const ROUTE_LABELS: [&str; 21] = [
+pub(crate) const ROUTE_LABELS: [&str; 20] = [
     "insert_image",
     "delete_image",
     "add_object",
     "remove_object",
     "search",
     "search_sketch",
-    "stats",
     "stats_v1",
     "healthz",
     "health",
@@ -52,20 +51,19 @@ fn route_index(route: Option<Route>) -> usize {
         Some(Route::Search) => 4,
         Some(Route::SearchSketch) => 5,
         Some(Route::Stats) => 6,
-        Some(Route::StatsV1) => 7,
-        Some(Route::Health) => 8,
-        Some(Route::HealthReport) => 9,
-        Some(Route::Metrics) => 10,
-        Some(Route::SlowQueries) => 11,
-        Some(Route::DebugEvents) => 12,
-        Some(Route::Checkpoint) => 13,
-        Some(Route::Snapshot) => 14,
-        Some(Route::Restore) => 15,
-        Some(Route::ReplicaFail) => 16,
-        Some(Route::ReplicaHeal) => 17,
-        Some(Route::Reshard) => 18,
-        Some(Route::Shutdown) => 19,
-        None => 20,
+        Some(Route::Health) => 7,
+        Some(Route::HealthReport) => 8,
+        Some(Route::Metrics) => 9,
+        Some(Route::SlowQueries) => 10,
+        Some(Route::DebugEvents) => 11,
+        Some(Route::Checkpoint) => 12,
+        Some(Route::Snapshot) => 13,
+        Some(Route::Restore) => 14,
+        Some(Route::ReplicaFail) => 15,
+        Some(Route::ReplicaHeal) => 16,
+        Some(Route::Reshard) => 17,
+        Some(Route::Shutdown) => 18,
+        None => 19,
     }
 }
 

@@ -1,12 +1,8 @@
 //! Route table: method + path → handler dispatch token.
 //!
-//! The API is versioned: every route lives under `/v1/...`, and the
-//! original unversioned paths remain as **deprecated aliases** that
-//! resolve to the same handlers but are answered with a
-//! `deprecation: true` header. The one shape difference is `/stats`:
-//! the legacy path keeps the original flat counter object, while
-//! `GET /v1/stats` returns the nested sections (topology, replication,
-//! planner, reshard, oplog, service).
+//! Every route lives under `/v1/...`. The one exception is the liveness
+//! probe, which answers on both `GET /healthz` and `GET /v1/healthz`:
+//! it is infrastructure, not API surface.
 
 use crate::http::Method;
 use be2d_db::RecordId;
@@ -28,11 +24,9 @@ pub enum Route {
     Search,
     /// `POST /v1/search/sketch` — spatial-pattern sketch search.
     SearchSketch,
-    /// `GET /stats` — the legacy flat statistics object.
-    Stats,
     /// `GET /v1/stats` — nested statistics sections.
-    StatsV1,
-    /// `GET /healthz` — liveness probe (never deprecated).
+    Stats,
+    /// `GET /healthz` (also `GET /v1/healthz`) — liveness probe.
     Health,
     /// `GET /v1/health` — the full health report: per-subsystem
     /// verdicts plus the worst-verdict rollup.
@@ -66,14 +60,11 @@ pub enum Route {
     Shutdown,
 }
 
-/// A route plus how the request reached it.
+/// A resolved request target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resolved {
     /// The matched route.
     pub route: Route,
-    /// `true` when the request used a legacy unversioned path; the
-    /// response gains a `deprecation: true` header.
-    pub deprecated: bool,
 }
 
 /// Why no route matched.
@@ -127,9 +118,8 @@ struct Rule {
 
 use Seg::{Id, Lit};
 
-/// The whole API surface, one row per (method, path) pair. Aliasing
-/// and versioning live in [`resolve`], not here: the table holds each
-/// route exactly once.
+/// The whole API surface, one row per (method, path) pair, without the
+/// `/v1` prefix (versioning lives in [`resolve`]).
 const RULES: &[Rule] = &[
     Rule {
         method: Method::Post,
@@ -247,17 +237,17 @@ fn matches<'p>(pattern: &[Seg], segments: &[&'p str]) -> Option<Option<&'p str>>
     Some(raw_id)
 }
 
-/// Resolves a request's method + path against the route table,
-/// reporting whether the legacy unversioned alias was used.
+/// Resolves a request's method + path against the route table.
 ///
 /// # Errors
 ///
 /// Returns [`RouteError`] when nothing matches.
 pub fn resolve(method: Method, path: &str) -> Result<Resolved, RouteError> {
     let mut segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let versioned = segments.first() == Some(&"v1");
-    if versioned {
+    if segments.first() == Some(&"v1") {
         segments.remove(0);
+    } else if segments != ["healthz"] {
+        return Err(RouteError::NotFound);
     }
 
     let mut path_known = false;
@@ -277,15 +267,9 @@ pub fn resolve(method: Method, path: &str) -> Result<Resolved, RouteError> {
             ),
             None => None,
         };
-        let route = match (rule.make)(id) {
-            // The one version-dependent shape: /v1/stats nests.
-            Route::Stats if versioned => Route::StatsV1,
-            route => route,
-        };
-        // The liveness probe is infrastructure, not API surface: the
-        // unversioned /healthz stays first-class.
-        let deprecated = !versioned && route != Route::Health;
-        return Ok(Resolved { route, deprecated });
+        return Ok(Resolved {
+            route: (rule.make)(id),
+        });
     }
     Err(if path_known {
         RouteError::MethodNotAllowed
@@ -294,53 +278,51 @@ pub fn resolve(method: Method, path: &str) -> Result<Resolved, RouteError> {
     })
 }
 
-/// [`resolve`] without the version metadata.
-///
-/// # Errors
-///
-/// Returns [`RouteError`] when nothing matches.
-pub fn route(method: Method, path: &str) -> Result<Route, RouteError> {
-    resolve(method, path).map(|r| r.route)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn route(method: Method, path: &str) -> Result<Route, RouteError> {
+        resolve(method, path).map(|r| r.route)
+    }
+
     #[test]
     fn routes_resolve() {
-        assert_eq!(route(Method::Post, "/images"), Ok(Route::InsertImage));
+        assert_eq!(route(Method::Post, "/v1/images"), Ok(Route::InsertImage));
         assert_eq!(
-            route(Method::Delete, "/images/7"),
+            route(Method::Delete, "/v1/images/7"),
             Ok(Route::DeleteImage(RecordId(7)))
         );
         assert_eq!(
-            route(Method::Post, "/images/3/objects"),
+            route(Method::Post, "/v1/images/3/objects"),
             Ok(Route::AddObject(RecordId(3)))
         );
         assert_eq!(
-            route(Method::Delete, "/images/3/objects"),
+            route(Method::Delete, "/v1/images/3/objects"),
             Ok(Route::RemoveObject(RecordId(3)))
         );
-        assert_eq!(route(Method::Post, "/search"), Ok(Route::Search));
+        assert_eq!(route(Method::Post, "/v1/search"), Ok(Route::Search));
         assert_eq!(
-            route(Method::Post, "/search/sketch"),
+            route(Method::Post, "/v1/search/sketch"),
             Ok(Route::SearchSketch)
         );
-        assert_eq!(route(Method::Get, "/stats"), Ok(Route::Stats));
-        assert_eq!(route(Method::Get, "/healthz"), Ok(Route::Health));
-        assert_eq!(route(Method::Post, "/snapshot"), Ok(Route::Snapshot));
-        assert_eq!(route(Method::Post, "/restore"), Ok(Route::Restore));
-        assert_eq!(route(Method::Post, "/admin/shutdown"), Ok(Route::Shutdown));
+        assert_eq!(route(Method::Get, "/v1/stats"), Ok(Route::Stats));
+        assert_eq!(route(Method::Get, "/v1/healthz"), Ok(Route::Health));
+        assert_eq!(route(Method::Post, "/v1/snapshot"), Ok(Route::Snapshot));
+        assert_eq!(route(Method::Post, "/v1/restore"), Ok(Route::Restore));
         assert_eq!(
-            route(Method::Post, "/admin/replicas/fail"),
+            route(Method::Post, "/v1/admin/shutdown"),
+            Ok(Route::Shutdown)
+        );
+        assert_eq!(
+            route(Method::Post, "/v1/admin/replicas/fail"),
             Ok(Route::ReplicaFail)
         );
         assert_eq!(
-            route(Method::Post, "/admin/replicas/heal"),
+            route(Method::Post, "/v1/admin/replicas/heal"),
             Ok(Route::ReplicaHeal)
         );
-        assert_eq!(route(Method::Post, "/admin/reshard"), Ok(Route::Reshard));
+        assert_eq!(route(Method::Post, "/v1/admin/reshard"), Ok(Route::Reshard));
         assert_eq!(route(Method::Get, "/v1/metrics"), Ok(Route::Metrics));
         assert_eq!(route(Method::Get, "/v1/health"), Ok(Route::HealthReport));
         assert_eq!(
@@ -356,27 +338,29 @@ mod tests {
             Ok(Route::Checkpoint)
         );
         assert_eq!(
-            route(Method::Get, "/admin/replicas/fail").unwrap_err(),
+            route(Method::Get, "/v1/admin/replicas/fail").unwrap_err(),
             RouteError::MethodNotAllowed
         );
         assert_eq!(
-            route(Method::Get, "/admin/reshard").unwrap_err(),
+            route(Method::Get, "/v1/admin/reshard").unwrap_err(),
             RouteError::MethodNotAllowed
         );
         // trailing slashes are tolerated
-        assert_eq!(route(Method::Get, "/healthz/"), Ok(Route::Health));
+        assert_eq!(route(Method::Get, "/v1/healthz/"), Ok(Route::Health));
     }
 
     #[test]
-    fn v1_namespace_mirrors_every_route() {
-        for (method, legacy) in [
+    fn only_healthz_answers_unversioned() {
+        assert_eq!(route(Method::Get, "/healthz"), Ok(Route::Health));
+        assert_eq!(route(Method::Get, "/healthz/"), Ok(Route::Health));
+        for (method, unversioned) in [
             (Method::Post, "/images"),
             (Method::Delete, "/images/7"),
             (Method::Post, "/images/3/objects"),
             (Method::Delete, "/images/3/objects"),
             (Method::Post, "/search"),
             (Method::Post, "/search/sketch"),
-            (Method::Get, "/healthz"),
+            (Method::Get, "/stats"),
             (Method::Get, "/health"),
             (Method::Get, "/metrics"),
             (Method::Get, "/debug/slow_queries"),
@@ -389,25 +373,16 @@ mod tests {
             (Method::Post, "/admin/checkpoint"),
             (Method::Post, "/admin/shutdown"),
         ] {
-            let old = resolve(method, legacy).unwrap();
-            let new = resolve(method, &format!("/v1{legacy}")).unwrap();
-            assert_eq!(old.route, new.route, "{legacy}");
-            assert!(!new.deprecated, "/v1{legacy} is current");
+            assert_eq!(
+                route(method, unversioned),
+                Err(RouteError::NotFound),
+                "{unversioned}"
+            );
+            assert!(
+                resolve(method, &format!("/v1{unversioned}")).is_ok(),
+                "/v1{unversioned}"
+            );
         }
-    }
-
-    #[test]
-    fn legacy_paths_are_deprecated_except_healthz() {
-        assert!(resolve(Method::Post, "/images").unwrap().deprecated);
-        assert!(resolve(Method::Get, "/stats").unwrap().deprecated);
-        assert!(!resolve(Method::Get, "/healthz").unwrap().deprecated);
-        assert!(!resolve(Method::Get, "/v1/healthz").unwrap().deprecated);
-    }
-
-    #[test]
-    fn stats_shape_depends_on_version() {
-        assert_eq!(route(Method::Get, "/stats"), Ok(Route::Stats));
-        assert_eq!(route(Method::Get, "/v1/stats"), Ok(Route::StatsV1));
     }
 
     #[test]
@@ -421,18 +396,18 @@ mod tests {
             RouteError::NotFound
         );
         assert_eq!(
-            route(Method::Get, "/images").unwrap_err(),
-            RouteError::MethodNotAllowed
-        );
-        assert_eq!(
             route(Method::Get, "/v1/images").unwrap_err(),
             RouteError::MethodNotAllowed
         );
         assert_eq!(
-            route(Method::Delete, "/search").unwrap_err(),
+            route(Method::Post, "/healthz").unwrap_err(),
             RouteError::MethodNotAllowed
         );
-        let bad = route(Method::Delete, "/images/xyz").unwrap_err();
+        assert_eq!(
+            route(Method::Delete, "/v1/search").unwrap_err(),
+            RouteError::MethodNotAllowed
+        );
+        let bad = route(Method::Delete, "/v1/images/xyz").unwrap_err();
         assert_eq!(bad.status(), 400);
         assert!(bad.message().contains("xyz"));
         assert_eq!(RouteError::NotFound.status(), 404);

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 /// # fn main() -> std::io::Result<()> {
 /// let server = Server::bind(ServerConfig::default())?;
 /// println!("listening on {}", server.local_addr());
-/// server.run()?; // blocks until POST /admin/shutdown
+/// server.run()?; // blocks until POST /v1/admin/shutdown
 /// # Ok(())
 /// # }
 /// ```
@@ -117,7 +117,7 @@ impl Server {
     }
 
     /// Serves until graceful shutdown is requested via
-    /// `POST /admin/shutdown` or a [`ServerHandle`].
+    /// `POST /v1/admin/shutdown` or a [`ServerHandle`].
     ///
     /// Each accepted connection becomes one bounded-pool job serving up
     /// to `keep_alive_requests` requests; when the pool (workers +
@@ -444,7 +444,7 @@ mod tests {
 
         let reply = raw_roundtrip(
             addr,
-            "POST /admin/shutdown HTTP/1.1\r\nConnection: close\r\n\r\n",
+            "POST /v1/admin/shutdown HTTP/1.1\r\nConnection: close\r\n\r\n",
         );
         assert!(reply.contains("\"shutting_down\":true"), "{reply}");
         // No follow-up traffic: the endpoint alone must unblock accept.

@@ -81,7 +81,7 @@ fn insert_search_snapshot_restore_search() {
     let response = client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(r#"{{"name":"left","scene":{LEFT_SCENE}}}"#),
         )
         .unwrap();
@@ -90,7 +90,7 @@ fn insert_search_snapshot_restore_search() {
     let response = client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(r#"{{"name":"right","scene":{RIGHT_SCENE}}}"#),
         )
         .unwrap();
@@ -98,7 +98,7 @@ fn insert_search_snapshot_restore_search() {
 
     // search ranks the exact match first
     let search_body = format!(r#"{{"scene":{LEFT_SCENE},"options":{{"top_k":2}}}}"#);
-    let response = client.request("POST", "/search", &search_body).unwrap();
+    let response = client.request("POST", "/v1/search", &search_body).unwrap();
     assert_eq!(response.status, 200);
     let text = response.text();
     let left_at = text.find("\"left\"").expect("left in results");
@@ -107,21 +107,21 @@ fn insert_search_snapshot_restore_search() {
 
     // snapshot to a named file inside the configured snapshot dir
     let snap_body = r#"{"path":"flow.json"}"#;
-    let response = client.request("POST", "/snapshot", snap_body).unwrap();
+    let response = client.request("POST", "/v1/snapshot", snap_body).unwrap();
     assert_eq!(response.status, 200, "{}", response.text());
     assert!(response.text().contains("\"records\":2"));
 
     // mutate: drop one image, verify the search changes
-    let response = client.request("DELETE", "/images/0", "").unwrap();
+    let response = client.request("DELETE", "/v1/images/0", "").unwrap();
     assert_eq!(response.status, 200);
-    let response = client.request("POST", "/search", &search_body).unwrap();
+    let response = client.request("POST", "/v1/search", &search_body).unwrap();
     assert!(!response.text().contains("\"left\""));
 
     // restore brings it back
-    let response = client.request("POST", "/restore", snap_body).unwrap();
+    let response = client.request("POST", "/v1/restore", snap_body).unwrap();
     assert_eq!(response.status, 200, "{}", response.text());
     assert!(response.text().contains("\"records\":2"));
-    let response = client.request("POST", "/search", &search_body).unwrap();
+    let response = client.request("POST", "/v1/search", &search_body).unwrap();
     assert!(response.text().contains("\"left\""), "{}", response.text());
     assert!(dir.join("flow.json").is_file(), "snapshot confined to dir");
 
@@ -137,7 +137,7 @@ fn incremental_object_maintenance_changes_results() {
     client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(r#"{{"name":"base","scene":{LEFT_SCENE}}}"#),
         )
         .unwrap();
@@ -145,19 +145,21 @@ fn incremental_object_maintenance_changes_results() {
     // a query for class Z misses, then hits after the incremental add
     let z_query =
         r#"{"scene":{"width":100,"height":100,"objects":[{"class":"Z","mbr":[1,9,1,9]}]}}"#;
-    let response = client.request("POST", "/search", z_query).unwrap();
+    let response = client.request("POST", "/v1/search", z_query).unwrap();
     assert_eq!(response.text(), r#"{"hits":[]}"#);
 
     let add = r#"{"class":"Z","mbr":[1,9,1,9]}"#;
-    let response = client.request("POST", "/images/0/objects", add).unwrap();
+    let response = client.request("POST", "/v1/images/0/objects", add).unwrap();
     assert_eq!(response.status, 200, "{}", response.text());
-    let response = client.request("POST", "/search", z_query).unwrap();
+    let response = client.request("POST", "/v1/search", z_query).unwrap();
     assert!(response.text().contains("\"base\""));
 
     // and misses again after the incremental removal
-    let response = client.request("DELETE", "/images/0/objects", add).unwrap();
+    let response = client
+        .request("DELETE", "/v1/images/0/objects", add)
+        .unwrap();
     assert_eq!(response.status, 200);
-    let response = client.request("POST", "/search", z_query).unwrap();
+    let response = client.request("POST", "/v1/search", z_query).unwrap();
     assert_eq!(response.text(), r#"{"hits":[]}"#);
 
     drop(client);
@@ -171,14 +173,14 @@ fn sketch_text_queries_and_transform_options() {
     client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(r#"{{"name":"ab","scene":{LEFT_SCENE}}}"#),
         )
         .unwrap();
 
     // the paper's §1 query as a sketch
     let response = client
-        .request("POST", "/search/sketch", r#"{"sketch":"A left-of B"}"#)
+        .request("POST", "/v1/search/sketch", r#"{"sketch":"A left-of B"}"#)
         .unwrap();
     assert_eq!(response.status, 200);
     assert!(response.text().contains("\"ab\""), "{}", response.text());
@@ -186,11 +188,11 @@ fn sketch_text_queries_and_transform_options() {
     // transform-invariant search finds a rotated insert
     let rotated = r#"{"name":"rot","scene":{"width":100,"height":100,"objects":[
         {"class":"Q","mbr":[40,60,10,30]},{"class":"R","mbr":[40,60,60,85]}]}}"#;
-    client.request("POST", "/images", rotated).unwrap();
+    client.request("POST", "/v1/images", rotated).unwrap();
     let query = r#"{"scene":{"width":100,"height":100,"objects":[
         {"class":"Q","mbr":[10,30,40,60]},{"class":"R","mbr":[60,85,40,60]}]},
         "options":{"transforms":"paper-set","top_k":1}}"#;
-    let response = client.request("POST", "/search", query).unwrap();
+    let response = client.request("POST", "/v1/search", query).unwrap();
     let text = response.text();
     assert!(text.contains("\"rot\""), "{text}");
     assert!(text.contains("rotate-"), "best transform reported: {text}");
@@ -209,7 +211,7 @@ fn sketch_text_queries_and_transform_options() {
         stored.x().to_string(),
         stored.y().to_string()
     );
-    let response = client.request("POST", "/search", &body).unwrap();
+    let response = client.request("POST", "/v1/search", &body).unwrap();
     assert_eq!(response.status, 200, "{}", response.text());
     assert!(response.text().contains("\"ab\""), "{}", response.text());
 
@@ -224,30 +226,30 @@ fn error_statuses_over_the_wire() {
 
     for (method, path, body, expected) in [
         ("GET", "/nope", "", 404),
-        ("GET", "/images", "", 405),
-        ("DELETE", "/images/notanumber", "", 400),
-        ("DELETE", "/images/99", "", 404),
-        ("POST", "/search", "{not json", 400),
+        ("GET", "/v1/images", "", 405),
+        ("DELETE", "/v1/images/notanumber", "", 400),
+        ("DELETE", "/v1/images/99", "", 404),
+        ("POST", "/v1/search", "{not json", 400),
         (
             "POST",
-            "/search",
+            "/v1/search",
             r#"{"scene":{"width":0,"height":5}}"#,
             400,
         ),
         (
             "POST",
-            "/search/sketch",
+            "/v1/search/sketch",
             r#"{"sketch":"A teleports B"}"#,
             422,
         ),
         (
             "POST",
-            "/restore",
+            "/v1/restore",
             r#"{"path":"no-such-snapshot.json"}"#,
             500,
         ),
-        ("POST", "/restore", r#"{"path":"/etc/passwd"}"#, 400),
-        ("POST", "/snapshot", r#"{"path":"../escape.json"}"#, 400),
+        ("POST", "/v1/restore", r#"{"path":"/etc/passwd"}"#, 400),
+        ("POST", "/v1/snapshot", r#"{"path":"../escape.json"}"#, 400),
     ] {
         let response = client.request(method, path, body).unwrap();
         assert_eq!(
@@ -281,16 +283,20 @@ fn stats_reflect_traffic_and_health_is_cheap() {
     client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(r#"{{"name":"s","scene":{LEFT_SCENE}}}"#),
         )
         .unwrap();
     client
-        .request("POST", "/search", &format!(r#"{{"scene":{LEFT_SCENE}}}"#))
+        .request(
+            "POST",
+            "/v1/search",
+            &format!(r#"{{"scene":{LEFT_SCENE}}}"#),
+        )
         .unwrap();
     let _ = client.request("GET", "/nope", "").unwrap();
 
-    let response = client.request("GET", "/stats", "").unwrap();
+    let response = client.request("GET", "/v1/stats", "").unwrap();
     let text = response.text();
     assert!(text.contains("\"records\":1"), "{text}");
     assert!(text.contains("\"objects\":2"), "{text}");
@@ -322,14 +328,14 @@ fn symbolic_insert_matches_scene_insert() {
     client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(r#"{{"name":"as-scene","scene":{LEFT_SCENE}}}"#),
         )
         .unwrap();
     let response = client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(
                 r#"{{"name":"as-symbolic","symbolic":{}}}"#,
                 serde_json::to_string(&symbolic).unwrap()
@@ -342,7 +348,7 @@ fn symbolic_insert_matches_scene_insert() {
     let response = client
         .request(
             "POST",
-            "/search",
+            "/v1/search",
             &format!(r#"{{"scene":{LEFT_SCENE},"options":{{"min_score":0.999}}}}"#),
         )
         .unwrap();
@@ -369,10 +375,10 @@ fn concurrent_clients_mixed_traffic() {
                 for i in 0..25 {
                     let name = format!("w{w}-{i}");
                     let insert = format!(r#"{{"name":{name:?},"scene":{LEFT_SCENE}}}"#);
-                    let response = client.request("POST", "/images", &insert).unwrap();
+                    let response = client.request("POST", "/v1/images", &insert).unwrap();
                     assert_eq!(response.status, 201);
                     let search = format!(r#"{{"scene":{LEFT_SCENE},"options":{{"top_k":3}}}}"#);
-                    let response = client.request("POST", "/search", &search).unwrap();
+                    let response = client.request("POST", "/v1/search", &search).unwrap();
                     assert_eq!(response.status, 200);
                     ok += 2;
                 }
@@ -384,7 +390,7 @@ fn concurrent_clients_mixed_traffic() {
     assert_eq!(total, 200);
 
     let mut client = server.client();
-    let response = client.request("GET", "/stats", "").unwrap();
+    let response = client.request("GET", "/v1/stats", "").unwrap();
     let text = response.text();
     assert!(text.contains("\"records\":100"), "{text}");
     assert!(text.contains("\"inserts\":100"), "{text}");
@@ -409,7 +415,7 @@ fn replica_fail_heal_over_the_wire() {
         let response = client
             .request(
                 "POST",
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":{name:?},"scene":{scene}}}"#),
             )
             .unwrap();
@@ -417,12 +423,12 @@ fn replica_fail_heal_over_the_wire() {
     }
     let search_body = format!(r#"{{"scene":{LEFT_SCENE},"options":{{"top_k":2}}}}"#);
     let baseline = client
-        .request("POST", "/search", &search_body)
+        .request("POST", "/v1/search", &search_body)
         .unwrap()
         .text();
 
     // Stats advertise the replicated topology.
-    let stats = client.request("GET", "/stats", "").unwrap().text();
+    let stats = client.request("GET", "/v1/stats", "").unwrap().text();
     assert!(stats.contains("\"shards\":2"), "{stats}");
     assert!(stats.contains("\"replicas\":2"), "{stats}");
     assert!(
@@ -434,12 +440,12 @@ fn replica_fail_heal_over_the_wire() {
     // identically (repeat so the round-robin picker cycles).
     for body in [r#"{"shard":0,"replica":1}"#, r#"{"shard":1,"replica":0}"#] {
         let response = client
-            .request("POST", "/admin/replicas/fail", body)
+            .request("POST", "/v1/admin/replicas/fail", body)
             .unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
     }
     for _ in 0..6 {
-        let response = client.request("POST", "/search", &search_body).unwrap();
+        let response = client.request("POST", "/v1/search", &search_body).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.text(), baseline, "degraded search identical");
     }
@@ -448,7 +454,7 @@ fn replica_fail_heal_over_the_wire() {
     let response = client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(r#"{{"name":"degraded","scene":{RIGHT_SCENE}}}"#),
         )
         .unwrap();
@@ -456,25 +462,29 @@ fn replica_fail_heal_over_the_wire() {
 
     // Failing the last healthy copy is refused with 409.
     let response = client
-        .request("POST", "/admin/replicas/fail", r#"{"shard":0,"replica":0}"#)
+        .request(
+            "POST",
+            "/v1/admin/replicas/fail",
+            r#"{"shard":0,"replica":0}"#,
+        )
         .unwrap();
     assert_eq!(response.status, 409, "{}", response.text());
 
     // Heal both; the rebuilt replicas rejoin with identical state.
     for body in [r#"{"shard":0,"replica":1}"#, r#"{"shard":1,"replica":0}"#] {
         let response = client
-            .request("POST", "/admin/replicas/heal", body)
+            .request("POST", "/v1/admin/replicas/heal", body)
             .unwrap();
         assert_eq!(response.status, 200, "{}", response.text());
     }
-    let stats = client.request("GET", "/stats", "").unwrap().text();
+    let stats = client.request("GET", "/v1/stats", "").unwrap().text();
     assert!(
         stats.contains("\"replica_health\":[[true,true],[true,true]]"),
         "{stats}"
     );
     assert!(stats.contains("\"records\":3"), "{stats}");
     for _ in 0..6 {
-        let response = client.request("POST", "/search", &search_body).unwrap();
+        let response = client.request("POST", "/v1/search", &search_body).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.text(), baseline, "healed search identical");
     }
@@ -484,7 +494,7 @@ fn replica_fail_heal_over_the_wire() {
 }
 
 /// `POST /admin/reshard` over the wire: the migration runs in the
-/// background while searches keep answering identically, `/stats`
+/// background while searches keep answering identically, `/v1/stats`
 /// reports the progress trajectory, and conflicting requests are
 /// rejected with the right statuses.
 #[test]
@@ -502,7 +512,7 @@ fn online_reshard_over_the_wire() {
         let response = client
             .request(
                 "POST",
-                "/images",
+                "/v1/images",
                 &format!(r#"{{"name":"img-{i}","scene":{scene}}}"#),
             )
             .unwrap();
@@ -510,17 +520,17 @@ fn online_reshard_over_the_wire() {
     }
     let search_body = format!(r#"{{"scene":{LEFT_SCENE},"options":{{"top_k":null}}}}"#);
     let baseline = client
-        .request("POST", "/search", &search_body)
+        .request("POST", "/v1/search", &search_body)
         .unwrap()
         .text();
 
     // Bad targets first: 400 for zero, 200 no-op for the same count.
     let response = client
-        .request("POST", "/admin/reshard", r#"{"shards":0}"#)
+        .request("POST", "/v1/admin/reshard", r#"{"shards":0}"#)
         .unwrap();
     assert_eq!(response.status, 400, "{}", response.text());
     let response = client
-        .request("POST", "/admin/reshard", r#"{"shards":2}"#)
+        .request("POST", "/v1/admin/reshard", r#"{"shards":2}"#)
         .unwrap();
     assert_eq!(response.status, 200);
     assert!(response.text().contains("\"started\":false"));
@@ -528,7 +538,7 @@ fn online_reshard_over_the_wire() {
     // Grow 2 → 5 in the background; searches during the migration stay
     // byte-identical to the pre-reshard baseline.
     let response = client
-        .request("POST", "/admin/reshard", r#"{"shards":5,"batch":3}"#)
+        .request("POST", "/v1/admin/reshard", r#"{"shards":5,"batch":3}"#)
         .unwrap();
     assert_eq!(response.status, 202, "{}", response.text());
     assert!(
@@ -540,11 +550,11 @@ fn online_reshard_over_the_wire() {
 
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
-        let response = client.request("POST", "/search", &search_body).unwrap();
+        let response = client.request("POST", "/v1/search", &search_body).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.text(), baseline, "mid-reshard search identical");
-        let stats = client.request("GET", "/stats", "").unwrap().text();
-        if stats.contains("\"reshard_active\":false") && stats.contains("\"shards\":5") {
+        let stats = client.request("GET", "/v1/stats", "").unwrap().text();
+        if stats.contains("\"reshard\":{\"active\":false") && stats.contains("\"shards\":5") {
             break;
         }
         assert!(
@@ -553,12 +563,13 @@ fn online_reshard_over_the_wire() {
         );
     }
 
-    let stats = client.request("GET", "/stats", "").unwrap().text();
+    let stats = client.request("GET", "/v1/stats", "").unwrap().text();
     assert!(stats.contains("\"shards\":5"), "{stats}");
     assert!(stats.contains("\"replicas\":2"), "{stats}");
-    assert!(stats.contains("\"reshard_from\":2"), "{stats}");
-    assert!(stats.contains("\"reshard_to\":5"), "{stats}");
-    assert!(stats.contains("\"reshard_migrated_ids\":20"), "{stats}");
+    assert!(
+        stats.contains("\"reshard\":{\"active\":false,\"from\":2,\"to\":5,\"migrated_ids\":20,"),
+        "{stats}"
+    );
     assert!(stats.contains("\"records\":20"), "{stats}");
     assert!(
         stats.contains(
@@ -569,23 +580,31 @@ fn online_reshard_over_the_wire() {
 
     // Post-migration: identical ranking, writes still live, and the
     // replica admin API addresses the new shards.
-    let response = client.request("POST", "/search", &search_body).unwrap();
+    let response = client.request("POST", "/v1/search", &search_body).unwrap();
     assert_eq!(response.text(), baseline, "post-reshard search identical");
     let response = client
         .request(
             "POST",
-            "/images",
+            "/v1/images",
             &format!(r#"{{"name":"after","scene":{LEFT_SCENE}}}"#),
         )
         .unwrap();
     assert_eq!(response.status, 201);
     assert!(response.text().contains("\"id\":20"), "{}", response.text());
     let response = client
-        .request("POST", "/admin/replicas/fail", r#"{"shard":4,"replica":1}"#)
+        .request(
+            "POST",
+            "/v1/admin/replicas/fail",
+            r#"{"shard":4,"replica":1}"#,
+        )
         .unwrap();
     assert_eq!(response.status, 200, "{}", response.text());
     let response = client
-        .request("POST", "/admin/replicas/heal", r#"{"shard":4,"replica":1}"#)
+        .request(
+            "POST",
+            "/v1/admin/replicas/heal",
+            r#"{"shard":4,"replica":1}"#,
+        )
         .unwrap();
     assert_eq!(response.status, 200);
 
@@ -593,15 +612,14 @@ fn online_reshard_over_the_wire() {
     server.stop();
 }
 
-/// The versioned surface end-to-end: `/v1/` paths serve the same
-/// handlers without the deprecation header, legacy aliases answer
-/// identically but flagged, and errors share the coded envelope.
+/// One API version over the wire: unversioned paths are gone (404 with
+/// the coded error envelope), the liveness probe answers on both
+/// `/healthz` and `/v1/healthz`, and `/v1` errors share the envelope.
 #[test]
-fn v1_surface_and_deprecation_over_the_wire() {
+fn only_v1_and_healthz_answer_over_the_wire() {
     let server = RunningServer::start(test_config());
     let mut client = server.client();
 
-    // Insert through /v1, search through /v1: same behaviour as legacy.
     let response = client
         .request(
             "POST",
@@ -610,25 +628,39 @@ fn v1_surface_and_deprecation_over_the_wire() {
         )
         .unwrap();
     assert_eq!(response.status, 201, "{}", response.text());
-    assert_eq!(response.header("deprecation"), None, "/v1 is canonical");
 
     let search_body = format!(r#"{{"scene":{LEFT_SCENE},"options":{{"top_k":1}}}}"#);
-    let v1 = client.request("POST", "/v1/search", &search_body).unwrap();
-    let legacy = client.request("POST", "/search", &search_body).unwrap();
-    assert_eq!(v1.status, 200);
-    assert_eq!(v1.body, legacy.body, "same handler behind both paths");
-    assert_eq!(v1.header("deprecation"), None);
-    assert_eq!(
-        legacy.header("deprecation"),
-        Some("true"),
-        "legacy alias is flagged"
-    );
+    let scene_body = format!(r#"{{"name":"left","scene":{LEFT_SCENE}}}"#);
+    for (method, path, body) in [
+        ("POST", "/search", search_body.as_str()),
+        ("POST", "/images", scene_body.as_str()),
+        ("DELETE", "/images/0", ""),
+        ("GET", "/stats", ""),
+    ] {
+        let response = client.request(method, path, body).unwrap();
+        assert_eq!(response.status, 404, "{method} {path}");
+        let text = response.text();
+        assert!(
+            text.contains("\"code\":\"not_found\""),
+            "{method} {path}: {text}"
+        );
+        assert!(
+            text.contains("\"retryable\":false"),
+            "{method} {path}: {text}"
+        );
+    }
+    // The unversioned delete above never reached the database.
+    let response = client.request("POST", "/v1/search", &search_body).unwrap();
+    assert_eq!(response.status, 200);
+    assert!(response.text().contains("\"name\":\"left\""));
 
-    // /healthz is infrastructure: never deprecated.
-    let health = client.request("GET", "/healthz", "").unwrap();
-    assert_eq!(health.header("deprecation"), None);
+    for path in ["/healthz", "/v1/healthz"] {
+        let health = client.request("GET", path, "").unwrap();
+        assert_eq!(health.status, 200, "{path}");
+        assert!(health.text().contains("\"status\":\"ok\""), "{path}");
+    }
 
-    // Errors carry the coded envelope on both surfaces.
+    // Errors carry the coded envelope.
     let missing = client.request("DELETE", "/v1/images/99", "").unwrap();
     assert_eq!(missing.status, 404);
     let text = missing.text();
@@ -650,10 +682,9 @@ fn v1_surface_and_deprecation_over_the_wire() {
 }
 
 /// `GET /v1/stats` reports the nested shape — topology, replication
-/// with per-replica lag, op log — while legacy `/stats` keeps the flat
-/// keys scripts already parse.
+/// with per-replica lag, op log.
 #[test]
-fn stats_v1_is_nested_and_legacy_stays_flat() {
+fn stats_v1_is_nested() {
     let server = RunningServer::start(ServerConfig {
         shards: 2,
         replicas: 2,
@@ -682,16 +713,7 @@ fn stats_v1_is_nested_and_legacy_stays_flat() {
     assert!(text.contains("\"oplog\":{"), "{text}");
     assert!(text.contains("\"service\":{"), "{text}");
     assert!(text.contains("\"records\":4"), "{text}");
-    assert!(
-        !text.contains("\"reshard_active\""),
-        "flat keys stay legacy-only: {text}"
-    );
-
-    let legacy = client.request("GET", "/stats", "").unwrap();
-    let text = legacy.text();
-    assert!(text.contains("\"reshard_active\":false"), "{text}");
-    assert!(text.contains("\"shards\":2"), "{text}");
-    assert!(!text.contains("\"topology\""), "{text}");
+    assert!(!text.contains("\"reshard_active\""), "no flat keys: {text}");
 
     drop(client);
     server.stop();

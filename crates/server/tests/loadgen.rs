@@ -62,7 +62,7 @@ fn loadgen_sustains_1000_mixed_requests_without_error() {
 
 /// The hot-shard-split scenario: skewed churn traffic hammers shard 0
 /// while a live reshard doubles the shard count mid-run — zero errors
-/// allowed, and the migration must be confirmed finished via `/stats`.
+/// allowed, and the migration must be confirmed finished via `/v1/stats`.
 #[test]
 fn loadgen_skewed_churn_survives_a_live_reshard() {
     let server = Server::bind(ServerConfig {

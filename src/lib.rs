@@ -53,7 +53,6 @@ pub use be2d_core::{
     BeString2D, BeSymbol, LcsTable, Similarity, SimilarityConfig, SymbolicImage,
 };
 pub use be2d_db::{
-    ImageDatabase, QueryOptions, ReplicatedImageDatabase, Resharder, SearchHit,
-    ShardedImageDatabase, TwoStage,
+    ImageDatabase, QueryOptions, ReplicatedImageDatabase, Resharder, SearchHit, TwoStage,
 };
 pub use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder, Transform};

@@ -105,7 +105,7 @@ fn facade_reexports_are_wired() {
     assert_eq!(convert_scene(&recognised), s);
     let scene = be2d::workload::scene_from_seed(&be2d::workload::SceneConfig::default(), 1);
     assert_eq!(scene.len(), 8);
-    let shared = be2d::db::ShardedImageDatabase::with_shards(2);
+    let shared = be2d::db::ReplicatedImageDatabase::with_topology(2, 1);
     shared.insert_scene("one", &fig).expect("insert");
     assert_eq!(shared.len(), 1);
     let replicated = be2d::ReplicatedImageDatabase::with_topology(2, 2);
