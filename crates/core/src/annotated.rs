@@ -311,7 +311,24 @@ impl AnnotatedBeString {
     }
 
     /// Materialises the BE-string view, deriving the dummy objects
-    /// (Algorithm 1 lines 21–32 / 34–45).
+    /// (Algorithm 1 lines 21–32 / 34–45): one before the first boundary
+    /// symbol when its coordinate is `> 0`, one between two consecutive
+    /// boundary symbols whose coordinates differ, and one after the last
+    /// boundary symbol when its coordinate is `< extent`.
+    ///
+    /// The empty axis materialises to the single dummy `E`.
+    #[must_use]
+    pub fn to_be_string(&self) -> BeString {
+        let mut out = Vec::with_capacity(2 * self.events.len() + 1);
+        self.walk_symbols(|event| out.push(event.map_or(BeSymbol::Dummy, BoundaryEvent::symbol)));
+        BeString::from_symbols_unchecked(out)
+    }
+
+    /// Walks the materialised string in order without building it:
+    /// `emit(Some(event))` for a boundary symbol, `emit(None)` for a
+    /// dummy. This is the one home of the dummy-placement rule; both
+    /// [`to_be_string`](Self::to_be_string) and the exact scorer's
+    /// integer encoder are built on it.
     ///
     /// A dummy is emitted:
     /// * before the first boundary symbol when its coordinate is `> 0`
@@ -319,55 +336,34 @@ impl AnnotatedBeString {
     /// * between two consecutive boundary symbols when their coordinates
     ///   differ;
     /// * after the last boundary symbol when its coordinate is `< extent`
-    ///   ("insert E at the rightmost").
-    ///
-    /// The empty axis materialises to the single dummy `E`.
-    #[must_use]
-    pub fn to_be_string(&self) -> BeString {
-        if self.events.is_empty() {
-            return BeString::empty_axis();
-        }
-        let mut out = Vec::with_capacity(2 * self.events.len() + 1);
-        if self.events[0].coord > 0 {
-            out.push(BeSymbol::Dummy);
+    ///   ("insert E at the rightmost");
+    /// * once, alone, for the empty axis.
+    pub(crate) fn walk_symbols<'a>(&'a self, mut emit: impl FnMut(Option<&'a BoundaryEvent>)) {
+        let Some(first) = self.events.first() else {
+            emit(None);
+            return;
+        };
+        if first.coord > 0 {
+            emit(None);
         }
         for (i, e) in self.events.iter().enumerate() {
-            out.push(e.symbol());
-            match self.events.get(i + 1) {
-                Some(next) => {
-                    if next.coord != e.coord {
-                        out.push(BeSymbol::Dummy);
-                    }
-                }
-                None => {
-                    if e.coord < self.extent {
-                        out.push(BeSymbol::Dummy);
-                    }
-                }
+            emit(Some(e));
+            let gap = match self.events.get(i + 1) {
+                Some(next) => next.coord != e.coord,
+                None => e.coord < self.extent,
+            };
+            if gap {
+                emit(None);
             }
         }
-        BeString::from_symbols_unchecked(out)
     }
 
     /// Number of symbols the materialised string will have, in O(n)
     /// without allocating.
     #[must_use]
     pub fn symbol_len(&self) -> usize {
-        if self.events.is_empty() {
-            return 1;
-        }
-        let mut len = self.events.len();
-        if self.events[0].coord > 0 {
-            len += 1;
-        }
-        if self.events.last().expect("non-empty").coord < self.extent {
-            len += 1;
-        }
-        len += self
-            .events
-            .windows(2)
-            .filter(|w| w[0].coord != w[1].coord)
-            .count();
+        let mut len = 0;
+        self.walk_symbols(|_| len += 1);
         len
     }
 

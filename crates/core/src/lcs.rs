@@ -20,8 +20,306 @@
 //!    of back-pointers; Algorithm 2 evaluates the left/up inheritance
 //!    *before* the diagonal and Algorithm 3 re-infers the path from the
 //!    length table alone.
+//!
+//! # Integer codes
+//!
+//! The DP only ever asks "is query symbol `i` equal to target symbol
+//! `j`?", so both strings are compared as `u32` codes instead of
+//! [`BeSymbol`]s. The query's classes are numbered `0..k` once
+//! ([`ClassCodes`]); then
+//!
+//! * the dummy ε is `0`;
+//! * a boundary of query class `i` is `1 + 2·i + is_end`;
+//! * a boundary of any class the query does not contain is one shared
+//!   sentinel, `u32::MAX`, which no query code equals.
+//!
+//! Two targets' absent classes may share the sentinel because the DP
+//! never compares target symbols with each other: for every pair it
+//! does compare, code equality is exactly [`BeSymbol`] equality.
+//! Encoding a stored image reads its boundary events directly
+//! (through the same dummy-placement walk that materialises the
+//! string), so scoring builds no [`BeString`] and clones no class name.
+//!
+//! # One cell rule, two kernels
+//!
+//! Lines 16–26 of Algorithm 2 are one function, `step`, used by
+//!
+//! * the **scalar fill**, which keeps the full `(m+1) × (n+1)` table
+//!   for [`LcsTable`] and for the boundary-only similarity (whose
+//!   count needs Algorithm 3's traceback), and
+//! * the **lane kernel**, which scores [`LANES`] targets against one
+//!   query in lockstep: targets are stored transposed (column `j` holds
+//!   symbol `j` of every lane) and the DP keeps two rolling rows of
+//!   `[i32; LANES]`, so each cell update is the same arithmetic on
+//!   eight independent lanes and compiles to vector selects.
+//!
+//! Targets of unequal length share a lane group by padding the shorter
+//! ones at the end with the sentinel. A padded column never matches, so
+//! it only inherits from its up/left neighbours: every real column is
+//! computed exactly as without padding (the DP reads only up and left),
+//! and since `|w|` never decreases along a row or column,
+//! `|w[m][N]| = |w[m][n]|` for a lane of real length `n ≤ N`.
 
-use crate::{BeString, BeSymbol};
+use crate::{AnnotatedBeString, BeString, BeSymbol, Boundary};
+use be2d_geometry::ObjectClass;
+
+/// Targets scored in lockstep by one pass of the lane kernel.
+pub const LANES: usize = 8;
+
+/// Code of the dummy object ε.
+pub(crate) const DUMMY: u32 = 0;
+
+/// Code of every boundary whose class the query does not contain; also
+/// pads short lanes. Equal to no query code.
+pub(crate) const ABSENT: u32 = u32::MAX;
+
+/// The query's class alphabet, numbering each class for the integer
+/// codes described in the module docs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ClassCodes {
+    /// Each query class with its [`name_key`], in code order.
+    classes: Vec<(u64, ObjectClass)>,
+}
+
+/// A class name's length (top byte, saturating) and up to its first
+/// seven bytes: equal names have equal keys, and names of at most seven
+/// bytes are equal exactly when their keys are. Lets the encoder, which
+/// looks up every boundary event of every candidate, compare integers
+/// instead of strings.
+#[inline]
+fn name_key(name: &str) -> u64 {
+    let mut key = [0u8; 8];
+    for (k, b) in key.iter_mut().zip(name.bytes().take(7)) {
+        *k = b;
+    }
+    key[7] = u8::try_from(name.len()).unwrap_or(u8::MAX);
+    u64::from_le_bytes(key)
+}
+
+impl ClassCodes {
+    /// Numbers the classes of `symbols` in order of first appearance.
+    pub(crate) fn of<'a>(symbols: impl IntoIterator<Item = &'a BeSymbol>) -> ClassCodes {
+        let mut classes: Vec<(u64, ObjectClass)> = Vec::new();
+        for class in symbols.into_iter().filter_map(BeSymbol::class) {
+            if !classes.iter().any(|(_, c)| c == class) {
+                classes.push((name_key(class.name()), class.clone()));
+            }
+        }
+        ClassCodes { classes }
+    }
+
+    /// The code of one boundary symbol.
+    #[inline]
+    pub(crate) fn code(&self, class: &ObjectClass, boundary: Boundary) -> u32 {
+        let name = class.name();
+        let key = name_key(name);
+        self.classes
+            .iter()
+            .position(|(k, c)| *k == key && (name.len() < 8 || c.name() == name))
+            .map_or(ABSENT, |i| {
+                let i = u32::try_from(i).expect("query class count fits in u32");
+                1 + 2 * i + u32::from(boundary == Boundary::End)
+            })
+    }
+
+    /// The code of any symbol.
+    pub(crate) fn symbol_code(&self, symbol: &BeSymbol) -> u32 {
+        match symbol {
+            BeSymbol::Dummy => DUMMY,
+            BeSymbol::Bound { class, boundary } => self.code(class, *boundary),
+        }
+    }
+
+    /// Encodes a materialised string into `out` (cleared first).
+    pub(crate) fn encode(&self, s: &BeString, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(s.symbols().iter().map(|sym| self.symbol_code(sym)));
+    }
+
+    /// Encodes a stored axis straight from its boundary events, calling
+    /// `emit` once per symbol of the materialised string in order.
+    pub(crate) fn encode_events(&self, axis: &AnnotatedBeString, mut emit: impl FnMut(u32)) {
+        axis.walk_symbols(|event| {
+            emit(event.map_or(DUMMY, |e| self.code(&e.class, e.boundary)));
+        });
+    }
+}
+
+/// Algorithm 2 lines 16–26 for one cell: inherit the neighbour with the
+/// larger absolute value (up on ties), then follow the diagonal when the
+/// symbols match, the match is not a dummy extending a dummy-tailed LCS,
+/// and the diagonal is strictly longer; a dummy match is stored negative
+/// ("ends with ε").
+///
+/// "Strictly longer" is tested without the inherited value: `|w|` never
+/// decreases along a row or a column, so `|up| ≥ |diag|` and
+/// `|left| ≥ |diag|`, and `|diag| + 1 > max(|up|, |left|)` holds exactly
+/// when both neighbours are as long as the diagonal. That takes the
+/// inherited value off the critical path from the left neighbour.
+/// Written with non-short-circuit `&`/`|` and selects rather than
+/// branches, so the lane kernel vectorises on dummy rows too.
+#[inline]
+fn step(up: i32, left: i32, diag: i32, matched: bool, query_is_dummy: bool) -> i32 {
+    let (up_len, left_len, diag_len) = (up.abs(), left.abs(), diag.abs());
+    let inherited = if up_len >= left_len { up } else { left };
+    let longer = (up_len == diag_len) & (left_len == diag_len);
+    let take = matched & (!query_is_dummy | (diag >= 0)) & longer;
+    let extended = if query_is_dummy {
+        -(diag_len + 1)
+    } else {
+        diag_len + 1
+    };
+    if take {
+        extended
+    } else {
+        inherited
+    }
+}
+
+/// The scalar full-table fill: writes the row-major `(m+1) × (n+1)`
+/// signed table of `query` against `target` into `w`, reusing its
+/// allocation.
+pub(crate) fn fill_table(query: &[u32], target: &[u32], w: &mut Vec<i32>) {
+    let cols = target.len() + 1;
+    w.clear();
+    // Lines 7–11: first row and column initialised to zero.
+    w.resize((query.len() + 1) * cols, 0);
+    for (i, &qc) in query.iter().enumerate() {
+        let (done, rest) = w.split_at_mut((i + 1) * cols);
+        let up_row = &done[i * cols..];
+        let row = &mut rest[..cols];
+        for (j, &tc) in target.iter().enumerate() {
+            row[j + 1] = step(up_row[j + 1], row[j], up_row[j], qc == tc, qc == DUMMY);
+        }
+    }
+}
+
+/// Algorithm 3's walk over a filled table, iteratively: from `w[m][n]`,
+/// step up when the absolute value equals the upper cell's, else left
+/// when it equals the left cell's, else the cell was set by a diagonal
+/// match and `on_match(i - 1)` reports its query position. Matches are
+/// reported from the end of the LCS backwards.
+pub(crate) fn traceback(w: &[i32], cols: usize, mut on_match: impl FnMut(usize)) {
+    let at = |i: usize, j: usize| w[i * cols + j].abs();
+    let (mut i, mut j) = (w.len() / cols - 1, cols - 1);
+    while i > 0 && j > 0 {
+        let here = at(i, j);
+        if here == at(i - 1, j) {
+            i -= 1;
+        } else if here == at(i, j - 1) {
+            j -= 1;
+        } else {
+            on_match(i - 1);
+            i -= 1;
+            j -= 1;
+        }
+    }
+}
+
+/// One axis of a lane group: up to [`LANES`] targets' codes stored
+/// transposed, each lane padded at the end with the sentinel.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneAxis {
+    /// `columns[j][lane]` is symbol `j` of that lane's target.
+    columns: Vec<[u32; LANES]>,
+    /// Real symbol count per lane.
+    pub(crate) len: [usize; LANES],
+    /// Boundary (non-dummy) symbol count per lane.
+    pub(crate) boundaries: [usize; LANES],
+}
+
+impl LaneAxis {
+    /// Empties the group, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.columns.clear();
+        self.len = [0; LANES];
+        self.boundaries = [0; LANES];
+    }
+
+    /// Appends the next symbol code of `lane`'s target.
+    #[inline]
+    pub(crate) fn push(&mut self, lane: usize, code: u32) {
+        let j = self.len[lane];
+        if j == self.columns.len() {
+            self.columns.push([ABSENT; LANES]);
+        }
+        self.columns[j][lane] = code;
+        self.len[lane] += 1;
+        self.boundaries[lane] += usize::from(code != DUMMY);
+    }
+}
+
+/// Reusable buffers of both kernels, kept between calls so that scoring
+/// allocates nothing once they have grown to the longest target.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KernelScratch {
+    /// The lane kernel's two rolling rows.
+    up: Vec<[i32; LANES]>,
+    row: Vec<[i32; LANES]>,
+    /// The scalar fill's table and one lane's target, contiguous.
+    table: Vec<i32>,
+    target: Vec<u32>,
+}
+
+/// The lane kernel: `|w[m][n]|` of `query` against every lane of
+/// `targets` (lanes beyond the group's targets read 0).
+pub(crate) fn lane_lengths(
+    query: &[u32],
+    targets: &LaneAxis,
+    scratch: &mut KernelScratch,
+) -> [usize; LANES] {
+    let columns = &targets.columns[..];
+    let n = columns.len();
+    let KernelScratch { up, row, .. } = scratch;
+    up.clear();
+    up.resize(n + 1, [0; LANES]);
+    row.clear();
+    row.resize(n + 1, [0; LANES]);
+    for &qc in query {
+        let query_is_dummy = qc == DUMMY;
+        // Re-slice so the compiler sees both rows are `n + 1` long.
+        let (above_row, this_row) = (&up[..=n], &mut row[..=n]);
+        for (j, column) in columns.iter().enumerate() {
+            let (above, diag, left) = (above_row[j + 1], above_row[j], this_row[j]);
+            let mut cell = [0; LANES];
+            for lane in 0..LANES {
+                cell[lane] = step(
+                    above[lane],
+                    left[lane],
+                    diag[lane],
+                    column[lane] == qc,
+                    query_is_dummy,
+                );
+            }
+            this_row[j + 1] = cell;
+        }
+        std::mem::swap(up, row);
+    }
+    up[n].map(|v| v.unsigned_abs() as usize)
+}
+
+/// Boundary symbols on Algorithm 3's LCS path of `query` against each of
+/// the first `lanes` targets: the scalar fill plus traceback, one lane
+/// at a time (the boundary-only similarity needs the full table).
+pub(crate) fn boundary_lengths(
+    query: &[u32],
+    targets: &LaneAxis,
+    lanes: usize,
+    scratch: &mut KernelScratch,
+) -> [usize; LANES] {
+    let mut out = [0; LANES];
+    for (lane, count) in out.iter_mut().enumerate().take(lanes) {
+        scratch.target.clear();
+        scratch
+            .target
+            .extend(targets.columns[..targets.len[lane]].iter().map(|c| c[lane]));
+        fill_table(query, &scratch.target, &mut scratch.table);
+        traceback(&scratch.table, scratch.target.len() + 1, |i| {
+            *count += usize::from(query[i] != DUMMY);
+        });
+    }
+    out
+}
 
 /// The signed LCS length-inference table `W` of Algorithm 2.
 ///
@@ -59,41 +357,16 @@ impl LcsTable {
     /// paper claims.
     #[must_use]
     pub fn build(query: &BeString, database: &BeString) -> LcsTable {
-        let q = query.symbols();
-        let d = database.symbols();
-        let (m, n) = (q.len(), d.len());
-        let cols = n + 1;
-        // Lines 7–11: first row and column initialised to zero.
-        let mut w = vec![0i32; (m + 1) * cols];
-        for i in 1..=m {
-            let qi = &q[i - 1];
-            let qi_is_dummy = qi.is_dummy();
-            for j in 1..=n {
-                let up = w[(i - 1) * cols + j];
-                let left = w[i * cols + (j - 1)];
-                // Lines 16–19: inherit the neighbour with the larger
-                // absolute value, preferring up on ties.
-                let mut cell = if up.abs() >= left.abs() { up } else { left };
-                // Line 21: a match may extend the diagonal only when the
-                // symbols agree and (for dummies) the diagonal LCS does not
-                // already end with a dummy.
-                let diag = w[(i - 1) * cols + (j - 1)];
-                if qi == &d[j - 1] && (!qi_is_dummy || diag >= 0) {
-                    // Lines 23–24: follow the diagonal only when strictly
-                    // longer than the inherited value.
-                    let candidate = diag.abs() + 1;
-                    if candidate > cell.abs() {
-                        // Lines 25–26: negative sign marks "ends with ε".
-                        cell = if qi_is_dummy { -candidate } else { candidate };
-                    }
-                }
-                w[i * cols + j] = cell;
-            }
-        }
+        let codes = ClassCodes::of(query.symbols());
+        let (mut q, mut d) = (Vec::new(), Vec::new());
+        codes.encode(query, &mut q);
+        codes.encode(database, &mut d);
+        let mut w = Vec::new();
+        fill_table(&q, &d, &mut w);
         LcsTable {
             w,
-            cols,
-            query: q.to_vec(),
+            cols: d.len() + 1,
+            query: query.symbols().to_vec(),
         }
     }
 
@@ -140,19 +413,7 @@ impl LcsTable {
     #[must_use]
     pub fn lcs_string(&self) -> Vec<BeSymbol> {
         let mut out = Vec::new();
-        let (mut i, mut j) = (self.rows() - 1, self.cols - 1);
-        while i > 0 && j > 0 {
-            let here = self.cell(i, j).abs();
-            if here == self.cell(i - 1, j).abs() {
-                i -= 1;
-            } else if here == self.cell(i, j - 1).abs() {
-                j -= 1;
-            } else {
-                out.push(self.query[i - 1].clone());
-                i -= 1;
-                j -= 1;
-            }
-        }
+        traceback(&self.w, self.cols, |i| out.push(self.query[i].clone()));
         out.reverse();
         out
     }
@@ -185,7 +446,11 @@ impl LcsTable {
     /// boundary-only similarity normalisation.
     #[must_use]
     pub fn boundary_length(&self) -> usize {
-        self.lcs_string().iter().filter(|s| s.is_boundary()).count()
+        let mut count = 0;
+        traceback(&self.w, self.cols, |i| {
+            count += usize::from(self.query[i].is_boundary());
+        });
+        count
     }
 
     /// Renders the signed inference table for inspection — the exact `W`

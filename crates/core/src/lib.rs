@@ -18,7 +18,8 @@
 //! * **Algorithms 2 & 3**, the **modified LCS** (§4): O(mn) signed-table
 //!   longest-common-subsequence that never picks two consecutive dummies,
 //!   plus path reconstruction without a direction matrix ([`LcsTable`],
-//!   [`be_lcs_length`]);
+//!   [`be_lcs_length`]), run on integer codes, [`LANES`] targets per
+//!   pass, by the [`ExactScorer`];
 //! * the **similarity evaluation process** (§4): graded `[0, 1]` scores
 //!   supporting partial object/relation matches ([`similarity`],
 //!   [`SimilarityConfig`]);
@@ -72,11 +73,11 @@ pub use annotated::{AnnotatedBeString, BoundaryEvent, SymbolicImage};
 pub use bestring::{BeString, BeString2D};
 pub use convert::{convert_scene, convert_scene_x, convert_scene_y};
 pub use error::BeStringError;
-pub use lcs::{be_lcs_length, exact_constrained_lcs_length, LcsTable};
+pub use lcs::{be_lcs_length, exact_constrained_lcs_length, LcsTable, LANES};
 pub use matrix::{similarity_matrix, threshold_clusters};
 pub use similarity::{
     best_transform_similarity, similarity, similarity_with, AxisCombine, AxisSimilarity,
-    Normalization, Similarity, SimilarityConfig,
+    ExactScorer, Normalization, ScoreScratch, Similarity, SimilarityConfig,
 };
 pub use symbol::{BeSymbol, Boundary};
 pub use transform::transformed;

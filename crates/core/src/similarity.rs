@@ -14,7 +14,8 @@
 //! is symmetric and rewards both precision and recall of spatial
 //! relationships. The ablation bench `exp_ablation` compares the options.
 
-use crate::{BeString, BeString2D, LcsTable};
+use crate::lcs::{boundary_lengths, lane_lengths, ClassCodes, KernelScratch, LaneAxis, LANES};
+use crate::{transformed, BeString2D, SymbolicImage};
 use be2d_geometry::Transform;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -117,17 +118,14 @@ pub struct AxisSimilarity {
 }
 
 impl AxisSimilarity {
-    fn evaluate(query: &BeString, target: &BeString, cfg: &SimilarityConfig) -> AxisSimilarity {
-        let table = LcsTable::build(query, target);
-        let (lcs_len, query_len, target_len) = if cfg.count_dummies {
-            (table.length(), query.len(), target.len())
-        } else {
-            (
-                table.boundary_length(),
-                query.boundary_count(),
-                target.boundary_count(),
-            )
-        };
+    /// Normalises one axis's counts under `cfg` — the only place the
+    /// per-axis score expression lives.
+    fn from_counts(
+        lcs_len: usize,
+        query_len: usize,
+        target_len: usize,
+        cfg: &SimilarityConfig,
+    ) -> AxisSimilarity {
         let score = match cfg.normalization {
             Normalization::QueryCoverage => ratio(lcs_len, query_len),
             Normalization::TargetCoverage => ratio(lcs_len, target_len),
@@ -203,6 +201,18 @@ pub fn similarity(query: &BeString2D, target: &BeString2D) -> Similarity {
     similarity_with(query, target, &SimilarityConfig::default())
 }
 
+impl Similarity {
+    /// Combines the two axis evaluations under `cfg`.
+    fn combine(x: AxisSimilarity, y: AxisSimilarity, cfg: &SimilarityConfig) -> Similarity {
+        let score = match cfg.axis_combine {
+            AxisCombine::Mean => (x.score + y.score) / 2.0,
+            AxisCombine::Product => x.score * y.score,
+            AxisCombine::Min => x.score.min(y.score),
+        };
+        Similarity { x, y, score }
+    }
+}
+
 /// Evaluates the similarity of two 2D BE-strings under an explicit
 /// configuration.
 #[must_use]
@@ -211,14 +221,9 @@ pub fn similarity_with(
     target: &BeString2D,
     cfg: &SimilarityConfig,
 ) -> Similarity {
-    let x = AxisSimilarity::evaluate(query.x(), target.x(), cfg);
-    let y = AxisSimilarity::evaluate(query.y(), target.y(), cfg);
-    let score = match cfg.axis_combine {
-        AxisCombine::Mean => (x.score + y.score) / 2.0,
-        AxisCombine::Product => x.score * y.score,
-        AxisCombine::Min => x.score.min(y.score),
-    };
-    Similarity { x, y, score }
+    ExactScorer::new(query, &[Transform::Identity], cfg)
+        .score_one(target)
+        .1
 }
 
 /// Evaluates a query against a target under every transform in
@@ -228,7 +233,8 @@ pub fn similarity_with(
 /// only need to reverse the string then apply the similarity retrieval and
 /// evaluation" — each candidate transform is a string reversal/axis swap
 /// (see [`transformed`](crate::transform::transformed)), not a geometric
-/// recomputation.
+/// recomputation. When several transforms tie for the best score, the
+/// last of them in `transforms` wins (the [`Iterator::max_by`] rule).
 ///
 /// Returns `None` when `transforms` is empty.
 #[must_use]
@@ -238,15 +244,241 @@ pub fn best_transform_similarity(
     transforms: &[Transform],
     cfg: &SimilarityConfig,
 ) -> Option<(Transform, Similarity)> {
-    transforms
-        .iter()
-        .map(|&t| {
-            (
-                t,
-                similarity_with(&crate::transform::transformed(query, t), target, cfg),
-            )
-        })
-        .max_by(|a, b| a.1.score.total_cmp(&b.1.score))
+    (!transforms.is_empty()).then(|| ExactScorer::new(query, transforms, cfg).score_one(target))
+}
+
+/// One query transform, integer-coded.
+#[derive(Debug, Clone)]
+struct CodedVariant {
+    transform: Transform,
+    x: Vec<u32>,
+    y: Vec<u32>,
+    /// Boundary symbol counts of `x` and `y`.
+    x_boundaries: usize,
+    y_boundaries: usize,
+}
+
+/// The exact §4 scorer: one query, prepared once, scored against many
+/// targets.
+///
+/// Construction numbers the query's classes and encodes every
+/// transformed query variant as integer codes (see the
+/// [`LcsTable`](crate::LcsTable) module docs). Scoring then encodes each
+/// target straight into a [`ScoreScratch`] — a stored
+/// [`SymbolicImage`] from its boundary events, without materialising
+/// its strings — and runs the modified LCS on [`LANES`] targets per
+/// pass. Every result is bit-identical to
+/// [`best_transform_similarity`] on the materialised strings, which is
+/// itself a one-target use of this scorer.
+///
+/// # Example
+///
+/// ```
+/// use be2d_core::{best_transform_similarity, convert_scene, ExactScorer, ScoreScratch,
+///     SimilarityConfig, SymbolicImage};
+/// use be2d_geometry::{SceneBuilder, Transform};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let scene = SceneBuilder::new(100, 100)
+///     .object("A", (10, 40, 20, 60))
+///     .object("B", (50, 90, 40, 95))
+///     .build()?;
+/// let stored = SymbolicImage::from_scene(&scene);
+/// let query = convert_scene(&scene.transformed(Transform::Rotate90));
+/// let cfg = SimilarityConfig::default();
+///
+/// let scorer = ExactScorer::new(&query, &Transform::ALL, &cfg);
+/// let mut scratch = ScoreScratch::default();
+/// let mut out = Vec::new();
+/// scorer.score_images([&stored, &stored], &mut scratch, &mut out);
+/// assert_eq!(out.len(), 2);
+/// assert_eq!(out[0].1.score, 1.0);
+/// let reference =
+///     best_transform_similarity(&query, &stored.to_be_string_2d(), &Transform::ALL, &cfg);
+/// assert_eq!(Some(out[0]), reference);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct ExactScorer {
+    codes: ClassCodes,
+    variants: Vec<CodedVariant>,
+    cfg: SimilarityConfig,
+}
+
+/// Reusable per-worker buffers of an [`ExactScorer`]: one lane group's
+/// transposed target codes and the kernels' rows and tables. Keep one
+/// per thread and pass it to every call; once grown to the largest
+/// target it makes scoring allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct ScoreScratch {
+    x: LaneAxis,
+    y: LaneAxis,
+    kernel: KernelScratch,
+}
+
+/// A target the scorer can encode into one lane of a group.
+trait LaneTarget {
+    fn encode(&self, codes: &ClassCodes, lane: usize, x: &mut LaneAxis, y: &mut LaneAxis);
+}
+
+impl LaneTarget for SymbolicImage {
+    fn encode(&self, codes: &ClassCodes, lane: usize, x: &mut LaneAxis, y: &mut LaneAxis) {
+        codes.encode_events(self.x(), |c| x.push(lane, c));
+        codes.encode_events(self.y(), |c| y.push(lane, c));
+    }
+}
+
+impl LaneTarget for BeString2D {
+    fn encode(&self, codes: &ClassCodes, lane: usize, x: &mut LaneAxis, y: &mut LaneAxis) {
+        for symbol in self.x() {
+            x.push(lane, codes.symbol_code(symbol));
+        }
+        for symbol in self.y() {
+            y.push(lane, codes.symbol_code(symbol));
+        }
+    }
+}
+
+impl ExactScorer {
+    /// Prepares `query` for scoring under each of `transforms` (the
+    /// identity alone when `transforms` is empty).
+    #[must_use]
+    pub fn new(
+        query: &BeString2D,
+        transforms: &[Transform],
+        cfg: &SimilarityConfig,
+    ) -> ExactScorer {
+        let codes = ClassCodes::of(query.x().iter().chain(query.y()));
+        let transforms = if transforms.is_empty() {
+            &[Transform::Identity][..]
+        } else {
+            transforms
+        };
+        let variants = transforms
+            .iter()
+            .map(|&transform| {
+                let variant = transformed(query, transform);
+                let (mut x, mut y) = (Vec::new(), Vec::new());
+                codes.encode(variant.x(), &mut x);
+                codes.encode(variant.y(), &mut y);
+                CodedVariant {
+                    transform,
+                    x_boundaries: variant.x().boundary_count(),
+                    y_boundaries: variant.y().boundary_count(),
+                    x,
+                    y,
+                }
+            })
+            .collect();
+        ExactScorer {
+            codes,
+            variants,
+            cfg: *cfg,
+        }
+    }
+
+    /// Scores stored images, appending one `(best transform, similarity)`
+    /// per target to `out`, in order.
+    pub fn score_images<'a>(
+        &self,
+        targets: impl IntoIterator<Item = &'a SymbolicImage>,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<(Transform, Similarity)>,
+    ) {
+        self.score_all(targets, scratch, out);
+    }
+
+    /// Scores materialised 2D BE-strings, appending one
+    /// `(best transform, similarity)` per target to `out`, in order.
+    pub fn score_strings<'a>(
+        &self,
+        targets: impl IntoIterator<Item = &'a BeString2D>,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<(Transform, Similarity)>,
+    ) {
+        self.score_all(targets, scratch, out);
+    }
+
+    fn score_one(&self, target: &BeString2D) -> (Transform, Similarity) {
+        let mut out = Vec::with_capacity(1);
+        self.score_strings([target], &mut ScoreScratch::default(), &mut out);
+        out[0]
+    }
+
+    fn score_all<'a, T: LaneTarget + 'a>(
+        &self,
+        targets: impl IntoIterator<Item = &'a T>,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<(Transform, Similarity)>,
+    ) {
+        let mut targets = targets.into_iter();
+        loop {
+            scratch.x.clear();
+            scratch.y.clear();
+            let mut lanes = 0;
+            for target in targets.by_ref().take(LANES) {
+                target.encode(&self.codes, lanes, &mut scratch.x, &mut scratch.y);
+                lanes += 1;
+            }
+            if lanes == 0 {
+                return;
+            }
+            self.score_group(lanes, scratch, out);
+        }
+    }
+
+    /// Scores the `lanes` targets encoded in `scratch` under every
+    /// variant, keeping per target the last best-scoring transform.
+    fn score_group(
+        &self,
+        lanes: usize,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<(Transform, Similarity)>,
+    ) {
+        let first = out.len();
+        let cfg = &self.cfg;
+        let ScoreScratch { x, y, kernel } = scratch;
+        for (v, variant) in self.variants.iter().enumerate() {
+            let (x_lcs, y_lcs, x_query, y_query, x_target, y_target) = if cfg.count_dummies {
+                (
+                    lane_lengths(&variant.x, x, kernel),
+                    lane_lengths(&variant.y, y, kernel),
+                    variant.x.len(),
+                    variant.y.len(),
+                    &x.len,
+                    &y.len,
+                )
+            } else {
+                (
+                    boundary_lengths(&variant.x, x, lanes, kernel),
+                    boundary_lengths(&variant.y, y, lanes, kernel),
+                    variant.x_boundaries,
+                    variant.y_boundaries,
+                    &x.boundaries,
+                    &y.boundaries,
+                )
+            };
+            for lane in 0..lanes {
+                let similarity = Similarity::combine(
+                    AxisSimilarity::from_counts(x_lcs[lane], x_query, x_target[lane], cfg),
+                    AxisSimilarity::from_counts(y_lcs[lane], y_query, y_target[lane], cfg),
+                    cfg,
+                );
+                let scored = (variant.transform, similarity);
+                if v == 0 {
+                    out.push(scored);
+                } else if similarity
+                    .score
+                    .total_cmp(&out[first + lane].1.score)
+                    .is_ge()
+                {
+                    // `Iterator::max_by` semantics: the last maximum wins.
+                    out[first + lane] = scored;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@ use crate::{
     CandidateSource, CandidateStrategy, ClassIndex, ClassSignature, DbError, PrefilterMode,
     QueryOptions, QuerySketch, ScoreSketch, SearchHit,
 };
-use be2d_core::{similarity_with, transformed, BeString2D, Similarity, SymbolicImage};
+use be2d_core::{
+    transformed, BeString2D, Boundary, ExactScorer, ScoreScratch, Similarity, SymbolicImage, LANES,
+};
 use be2d_geometry::{ObjectClass, Rect, Scene, Transform};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -50,19 +52,25 @@ pub struct ImageRecord {
 }
 
 impl ImageRecord {
-    fn classes(&self) -> Vec<ObjectClass> {
-        self.symbolic
-            .to_be_string_2d()
-            .class_counts()
-            .into_keys()
-            .collect()
-    }
-
     /// Recomputes the derived retrieval metadata — class signature and
-    /// score-bound sketch — from the symbolic picture.
-    fn refresh_signature(&mut self) {
-        self.signature = ClassSignature::from_classes(self.classes().iter());
+    /// score-bound sketch — from the symbolic picture, materialising its
+    /// 2D BE-string once, and returns the picture's distinct classes.
+    fn refresh_signature(&mut self) -> Vec<ObjectClass> {
+        // Every object has one begin event per axis, so the x-axis
+        // begins name each class present.
+        let mut classes: Vec<ObjectClass> = self
+            .symbolic
+            .x()
+            .events()
+            .iter()
+            .filter(|e| e.boundary == Boundary::Begin)
+            .map(|e| e.class.clone())
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        self.signature = ClassSignature::from_classes(classes.iter());
         self.sketch = ScoreSketch::of(&self.symbolic.to_be_string_2d());
+        classes
     }
 }
 
@@ -167,7 +175,10 @@ impl ScoreThreshold {
 /// favourite shared-state primitive serves concurrent readers.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ImageDatabase {
-    records: Vec<Option<ImageRecord>>,
+    /// Slot `i` holds record `i`. Ids are never reused, so a removed
+    /// record leaves its slot dead for good; boxing keeps a dead slot
+    /// one pointer wide instead of a whole inline record.
+    records: Vec<Option<Box<ImageRecord>>>,
     index: ClassIndex,
 }
 
@@ -269,9 +280,9 @@ impl ImageDatabase {
             signature: ClassSignature::default(),
             sketch: ScoreSketch::default(),
         };
-        record.refresh_signature();
-        self.index.insert_record(id, record.classes());
-        self.records[id.index()] = Some(record);
+        let classes = record.refresh_signature();
+        self.index.insert_record(id, classes);
+        self.records[id.index()] = Some(Box::new(record));
         Ok(())
     }
 
@@ -296,18 +307,18 @@ impl ImageDatabase {
             .and_then(Option::take)
             .ok_or(DbError::UnknownRecord { id: id.index() })?;
         self.index.remove_record(id);
-        Ok(record)
+        Ok(*record)
     }
 
     /// Looks up a record.
     #[must_use]
     pub fn get(&self, id: RecordId) -> Option<&ImageRecord> {
-        self.records.get(id.index()).and_then(Option::as_ref)
+        self.records.get(id.index()).and_then(Option::as_deref)
     }
 
     /// Iterates live records in id order.
     pub fn iter(&self) -> impl Iterator<Item = &ImageRecord> {
-        self.records.iter().filter_map(Option::as_ref)
+        self.records.iter().filter_map(Option::as_deref)
     }
 
     /// Adds one object to a stored image **incrementally** (§3.2): binary
@@ -326,7 +337,7 @@ impl ImageDatabase {
         let record = self
             .records
             .get_mut(id.index())
-            .and_then(Option::as_mut)
+            .and_then(Option::as_deref_mut)
             .ok_or(DbError::UnknownRecord { id: id.index() })?;
         record.symbolic.add_object(class, mbr)?;
         record.refresh_signature();
@@ -350,12 +361,12 @@ impl ImageDatabase {
         let record = self
             .records
             .get_mut(id.index())
-            .and_then(Option::as_mut)
+            .and_then(Option::as_deref_mut)
             .ok_or(DbError::UnknownRecord { id: id.index() })?;
         record.symbolic.remove_object(class, mbr)?;
-        record.refresh_signature();
+        let classes = record.refresh_signature();
         // drop the posting only when the last object of the class went
-        if !record.classes().contains(class) {
+        if !classes.contains(class) {
             self.index.remove_class(id, class);
         }
         Ok(())
@@ -428,29 +439,22 @@ impl ImageDatabase {
     /// and [`SearchStats`] are bit-identical across strategies. The
     /// scatter planner picks per shard from measured selectivity.
     #[must_use]
-    pub fn search_planned(
-        &self,
+    pub fn search_planned<'db>(
+        &'db self,
         query: &BeString2D,
         options: &QueryOptions,
         threshold: Option<&ScoreThreshold>,
         strategy: CandidateStrategy,
     ) -> (Vec<SearchHit>, SearchStats) {
-        // Pre-transform the query once per transform (strings are small;
-        // candidates are many).
-        type QueryVariants = Vec<(Transform, BeString2D)>;
-        let query_variants: QueryVariants = if options.transforms.is_empty() {
-            vec![(Transform::Identity, query.clone())]
+        let transforms: &[Transform] = if options.transforms.is_empty() {
+            &[Transform::Identity]
         } else {
-            options
-                .transforms
-                .iter()
-                .map(|&t| (t, transformed(query, t)))
-                .collect()
+            &options.transforms
         };
         let query_classes: Vec<ObjectClass> = query.class_counts().into_keys().collect();
         let query_sig = ClassSignature::from_classes(query_classes.iter());
 
-        let candidates: Vec<&ImageRecord> = match (options.candidates, options.prefilter) {
+        let candidates: Vec<&'db ImageRecord> = match (options.candidates, options.prefilter) {
             // the inverted index produces the candidate set directly;
             // class-free queries fall back to a full scan
             (CandidateSource::ClassIndex, prefilter)
@@ -496,60 +500,67 @@ impl ImageDatabase {
             ..SearchStats::default()
         };
 
-        let score_one = |record: &ImageRecord| -> SearchHit {
-            let target = record.symbolic.to_be_string_2d();
-            let (transform, similarity) = query_variants
-                .iter()
-                .map(|(t, q)| (*t, similarity_with(q, &target, &options.config)))
-                .max_by(|a, b| a.1.score.total_cmp(&b.1.score))
-                .expect("at least one transform");
-            SearchHit {
-                id: record.id,
-                name: record.name.clone(),
-                score: similarity.score,
-                transform,
-                similarity,
-            }
+        // The query and its transformed variants are encoded once; each
+        // worker scores its candidates through its own scratch, LANES
+        // at a time, without materialising their strings.
+        let scorer = ExactScorer::new(query, transforms, &options.config);
+        let score_part = |part: &[&'db ImageRecord], scratch: &mut ScoreScratch| {
+            let mut scored = Vec::with_capacity(part.len());
+            scorer.score_images(part.iter().map(|r| &r.symbolic), scratch, &mut scored);
+            part.iter()
+                .zip(scored)
+                .map(|(&record, (transform, similarity))| Scored {
+                    record,
+                    transform,
+                    similarity,
+                })
+                .collect::<Vec<_>>()
         };
 
         // Exact scoring of one batch, reusing the parallelism policy
         // per batch (the whole candidate set IS the batch in the
-        // exhaustive path).
-        let score_batch = |batch: &[&ImageRecord]| -> Vec<SearchHit> {
+        // exhaustive path). The calling thread scores the first chunk
+        // itself and spawns helpers only for the rest: one thread per
+        // chunk, instead of `threads` helpers plus a caller idling in
+        // `join` while they compete for the same cores.
+        let mut scratch = ScoreScratch::default();
+        let mut score_batch = |batch: &[&'db ImageRecord]| -> Vec<Scored<'db>> {
             if options.parallel.enabled_for(batch.len()) {
                 let threads = std::thread::available_parallelism()
                     .map_or(1, |n| n.get())
                     .min(16);
-                let chunk = batch.len().div_ceil(threads);
+                let chunk = batch.len().div_ceil(threads).next_multiple_of(LANES);
+                let mut parts = batch.chunks(chunk);
+                let head = parts.next().unwrap_or_default();
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = batch
-                        .chunks(chunk)
+                    let helpers: Vec<_> = parts
                         .map(|part| {
-                            scope.spawn(move || {
-                                part.iter().map(|r| score_one(r)).collect::<Vec<_>>()
-                            })
+                            scope.spawn(move || score_part(part, &mut ScoreScratch::default()))
                         })
                         .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("scorer panicked"))
-                        .collect()
+                    let mut scored = score_part(head, &mut scratch);
+                    for helper in helpers {
+                        scored.extend(helper.join().expect("scorer panicked"));
+                    }
+                    scored
                 })
             } else {
-                batch.iter().map(|r| score_one(r)).collect()
+                score_part(batch, &mut scratch)
             }
         };
 
-        let mut hits: Vec<SearchHit> = match options.two_stage {
+        let mut scored: Vec<Scored<'db>> = match options.two_stage {
             Some(ts) => {
-                let qsketch = QuerySketch::of_variants(query_variants.iter().map(|(_, q)| q));
+                let variants: Vec<BeString2D> =
+                    transforms.iter().map(|&t| transformed(query, t)).collect();
+                let qsketch = QuerySketch::of_variants(&variants);
                 two_stage_scan(
                     &qsketch,
                     candidates,
                     options,
                     ts.frontier.max(1),
                     threshold,
-                    &score_batch,
+                    &mut score_batch,
                     &mut stats,
                 )
             }
@@ -559,11 +570,26 @@ impl ImageDatabase {
             }
         };
 
-        hits.retain(|h| h.score >= options.min_score);
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
+        scored.retain(|s| s.similarity.score >= options.min_score);
+        scored.sort_by(|a, b| {
+            b.similarity
+                .score
+                .total_cmp(&a.similarity.score)
+                .then_with(|| a.record.id.cmp(&b.record.id))
+        });
         if let Some(k) = options.top_k {
-            hits.truncate(k);
+            scored.truncate(k);
         }
+        let hits = scored
+            .into_iter()
+            .map(|s| SearchHit {
+                id: s.record.id,
+                name: s.record.name.clone(),
+                score: s.similarity.score,
+                transform: s.transform,
+                similarity: s.similarity,
+            })
+            .collect();
         (hits, stats)
     }
 
@@ -630,9 +656,9 @@ fn two_stage_scan<'db>(
     options: &QueryOptions,
     frontier: usize,
     threshold: Option<&ScoreThreshold>,
-    score_batch: &dyn Fn(&[&'db ImageRecord]) -> Vec<SearchHit>,
+    score_batch: &mut dyn FnMut(&[&'db ImageRecord]) -> Vec<Scored<'db>>,
     stats: &mut SearchStats,
-) -> Vec<SearchHit> {
+) -> Vec<Scored<'db>> {
     // Stage 1: bound every candidate; drop the ones that provably
     // cannot reach the score floor (strict: a bound equal to the floor
     // may still be attained exactly).
@@ -681,8 +707,9 @@ fn two_stage_scan<'db>(
         stats.scored += batch_hits.len();
         if let Some(k) = options.top_k {
             for hit in &batch_hits {
-                if hit.score >= options.min_score {
-                    kth_heap.push(std::cmp::Reverse(OrderedScore(hit.score)));
+                let score = hit.similarity.score;
+                if score >= options.min_score {
+                    kth_heap.push(std::cmp::Reverse(OrderedScore(score)));
                     if kth_heap.len() > k {
                         kth_heap.pop();
                     }
@@ -700,6 +727,14 @@ fn two_stage_scan<'db>(
         at = end;
     }
     hits
+}
+
+/// One exactly scored candidate. Ranking keeps these until the top-k
+/// is known, so only the returned hits copy a record's name.
+struct Scored<'db> {
+    record: &'db ImageRecord,
+    transform: Transform,
+    similarity: Similarity,
 }
 
 /// `f64` score with total order, for the two-stage k-th-score heap.
@@ -777,8 +812,13 @@ impl ImageDatabase {
         let record = self
             .get(id)
             .ok_or(DbError::UnknownRecord { id: id.index() })?;
-        let target = record.symbolic.to_be_string_2d();
-        Ok(similarity_with(query, &target, &options.config))
+        let mut scored = Vec::with_capacity(1);
+        ExactScorer::new(query, &[Transform::Identity], &options.config).score_images(
+            [&record.symbolic],
+            &mut ScoreScratch::default(),
+            &mut scored,
+        );
+        Ok(scored[0].1)
     }
 }
 
