@@ -27,7 +27,7 @@
 //! ```
 
 use be2d_bench::standard_config;
-use be2d_db::{PlannerMode, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode, WalConfig};
+use be2d_db::{ReplicaConfig, ReplicatedImageDatabase, ReplicationMode, WalConfig};
 use be2d_workload::metrics::percentile;
 use be2d_workload::{Corpus, CorpusConfig, SceneConfig};
 use std::io::Write as _;
@@ -139,7 +139,6 @@ fn open(
         replicas: 2,
         mode,
         oplog_window,
-        planner: PlannerMode::default(),
         wal,
     })
     .expect("topology opens")
@@ -190,7 +189,6 @@ fn time_ack(config: &Config, corpus: &Corpus, mode: ReplicationMode) -> (f64, f6
         replicas: 3,
         mode,
         oplog_window: 4096,
-        planner: PlannerMode::default(),
         wal: None,
     })
     .expect("topology opens");

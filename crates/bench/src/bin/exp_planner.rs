@@ -1,6 +1,6 @@
-//! E16 — planner v2 economics: what the selectivity-ordered scatter,
+//! E16 — planner economics: what the selectivity-ordered scatter,
 //! per-shard candidate strategy, and least-outstanding replica picker
-//! buy under hot-shard skew.
+//! cost under hot-shard skew.
 //!
 //! The corpus is deliberately skewed: ids route to shards round-robin
 //! (`id % shards`), and every record on the even ("hot") shards
@@ -14,31 +14,31 @@
 //! low-selectivity shards full of weak candidates and cheap shards
 //! full of strong ones. An unordered scatter burns a frontier batch of
 //! exact scores on every hot shard before the racing threshold lands;
-//! the v2 planner sequences the cheapest k-filling shard first, so the
+//! the planner sequences the cheapest k-filling shard first, so the
 //! threshold precedes every hot shard and deletes that work entirely.
 //!
-//! Both planner modes run the same query battery on identical corpora:
+//! The query battery runs on the sharded database:
 //!
-//! 1. **Equivalence.** Every v2 ranking is asserted bit-identical
-//!    (`f64::to_bits`) to its naive twin before being counted.
-//! 2. **Latency.** Per-query p50/p95 for both modes, sequential and
-//!    under concurrent reader pressure (where the least-outstanding
-//!    picker spreads replicas better than a blind cursor).
-//! 3. **Work.** Exactly-scored candidates per mode: the threshold the
-//!    ordered scatter carries into the hot shard deletes exact work.
+//! 1. **Equivalence.** Every ranking is asserted bit-identical
+//!    (`f64::to_bits`) to a single `ImageDatabase` holding the same
+//!    scenes before anything is timed.
+//! 2. **Latency.** Per-query p50/p95, sequential and under concurrent
+//!    reader pressure (where the least-outstanding picker spreads
+//!    replicas).
+//! 3. **Work.** Exactly-scored candidates, plus the planner's ordered
+//!    scatters and dense scans.
 //!
-//! Writes `BENCH_planner.json`:
+//! Writes `BENCH_planner.json` (the planner's figures sit under `v2`):
 //!
 //! ```json
 //! {"benchmark":"planner","images":3000,"shards":6,
-//!  "naive":{"p50_us":...,"p95_us":...,"concurrent_p95_us":...,"scored":...},
-//!  "v2":{...,"ordered_scatters":...,"dense_scans":...},
-//!  "speedup_p50":...,"speedup_p95":...,"concurrent_speedup_p95":...}
+//!  "v2":{"p50_us":...,"p95_us":...,"concurrent_p95_us":...,"scored":...,
+//!        "ordered_scatters":...,"dense_scans":...}}
 //! ```
 
 use be2d_core::convert_scene;
 use be2d_db::{
-    CandidateSource, PlannerMode, PrefilterMode, QueryOptions, ReplicaConfig,
+    CandidateSource, ImageDatabase, PrefilterMode, QueryOptions, ReplicaConfig,
     ReplicatedImageDatabase, ReplicationMode,
 };
 use be2d_geometry::{Scene, SceneBuilder};
@@ -96,7 +96,7 @@ impl Config {
 }
 
 fn usage() -> &'static str {
-    "exp_planner — price planner v2: ordered scatter + per-shard strategy + replica picker under hot-shard skew\n\
+    "exp_planner — price the planner: ordered scatter + per-shard strategy + replica picker under hot-shard skew\n\
      \n\
      options:\n\
        --preset small|full  workload size (default full; CI uses small)\n\
@@ -242,25 +242,32 @@ fn queries(config: &Config) -> Vec<Scene> {
         .collect()
 }
 
-fn build(config: &Config, planner: PlannerMode) -> ReplicatedImageDatabase {
+/// The sharded database and a single `ImageDatabase` reference holding
+/// the same scenes under the same ids.
+fn build(config: &Config) -> (ReplicatedImageDatabase, ImageDatabase) {
     let db = ReplicatedImageDatabase::with_config(ReplicaConfig {
         shards: config.shards,
         replicas: config.replicas,
         mode: ReplicationMode::Sync,
         oplog_window: 1024,
-        planner,
         wal: None,
     })
     .expect("in-memory topology opens");
+    let mut reference = ImageDatabase::new();
     for i in 0..config.images {
-        db.insert_scene(&format!("img-{i}"), &skewed_scene(i, config.shards))
-            .expect("prefill insert");
+        let name = format!("img-{i}");
+        let scene = skewed_scene(i, config.shards);
+        let id = db.insert_scene(&name, &scene).expect("prefill insert");
+        let ref_id = reference
+            .insert_scene(&name, &scene)
+            .expect("reference insert");
+        assert_eq!(id, ref_id, "ids agree with the reference");
     }
-    db
+    (db, reference)
 }
 
 #[derive(Debug, Default)]
-struct ModeResult {
+struct PlannerResult {
     p50_us: f64,
     p95_us: f64,
     concurrent_p95_us: f64,
@@ -269,8 +276,8 @@ struct ModeResult {
     dense_scans: u64,
 }
 
-/// Sequential battery + contended phase for one planner mode.
-fn measure(config: &Config, db: &ReplicatedImageDatabase, queries: &[Scene]) -> ModeResult {
+/// Sequential battery + contended phase.
+fn measure(config: &Config, db: &ReplicatedImageDatabase, queries: &[Scene]) -> PlannerResult {
     let options = QueryOptions {
         prefilter: PrefilterMode::AllClasses,
         candidates: CandidateSource::ClassIndex,
@@ -338,7 +345,7 @@ fn measure(config: &Config, db: &ReplicatedImageDatabase, queries: &[Scene]) -> 
         all
     });
 
-    ModeResult {
+    PlannerResult {
         p50_us: percentile(&latencies, 50.0),
         p95_us: percentile(&latencies, 95.0),
         concurrent_p95_us: percentile(&concurrent, 95.0),
@@ -363,7 +370,7 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("=== E16: planner v2 under hot-shard skew ===\n");
+    println!("=== E16: planner under hot-shard skew ===\n");
     println!(
         "{} images over {} shards x {} replicas, {} queries, top-{} frontier {}\n",
         config.images,
@@ -374,8 +381,7 @@ fn main() -> ExitCode {
         config.frontier
     );
 
-    let naive = build(&config, PlannerMode::Naive);
-    let v2 = build(&config, PlannerMode::V2);
+    let (db, reference) = build(&config);
     let battery = queries(&config);
 
     // Equivalence first: the optimisation must not exist observably.
@@ -387,65 +393,44 @@ fn main() -> ExitCode {
     }
     .with_two_stage(config.frontier);
     for (qi, query) in battery.iter().enumerate() {
-        let expect = naive
+        let expect = reference.search_scene(query, &options);
+        let got = db
             .search_traced(&convert_scene(query), &options)
-            .expect("naive search")
-            .0;
-        let got = v2
-            .search_traced(&convert_scene(query), &options)
-            .expect("v2 search")
+            .expect("sharded search")
             .0;
         assert_eq!(
             expect.len(),
             got.len(),
-            "planner v2 changed result size (q{qi})"
+            "the planner changed result size (q{qi})"
         );
         for (a, b) in expect.iter().zip(&got) {
             assert!(
                 a.id == b.id && a.score.to_bits() == b.score.to_bits(),
-                "planner v2 broke bit-identity (q{qi})"
+                "the planner broke bit-identity (q{qi})"
             );
         }
     }
     println!(
-        "bit-identity: v2 == naive across {} queries\n",
+        "bit-identity: sharded == single ImageDatabase across {} queries\n",
         battery.len()
     );
 
-    let naive_result = measure(&config, &naive, &battery);
-    let v2_result = measure(&config, &v2, &battery);
-
-    let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-    let speedup_p50 = ratio(naive_result.p50_us, v2_result.p50_us);
-    let speedup_p95 = ratio(naive_result.p95_us, v2_result.p95_us);
-    let concurrent_speedup_p95 = ratio(naive_result.concurrent_p95_us, v2_result.concurrent_p95_us);
-
+    let r = measure(&config, &db, &battery);
     println!(
-        "{:>8} {:>10} {:>10} {:>14} {:>10}",
-        "mode", "p50", "p95", "concurrent p95", "scored"
-    );
-    for (tag, r) in [("naive", &naive_result), ("v2", &v2_result)] {
-        println!(
-            "{:>8} {:>8.1}us {:>8.1}us {:>12.1}us {:>10}",
-            tag, r.p50_us, r.p95_us, r.concurrent_p95_us, r.scored
-        );
-    }
-    println!(
-        "\nspeedup: p50 {speedup_p50:.2}x  p95 {speedup_p95:.2}x  concurrent p95 {concurrent_speedup_p95:.2}x"
+        "{:>10} {:>10} {:>14} {:>10}",
+        "p50", "p95", "concurrent p95", "scored"
     );
     println!(
-        "v2 plan: {} ordered scatters, {} dense scans, scored {} vs naive {}",
-        v2_result.ordered_scatters, v2_result.dense_scans, v2_result.scored, naive_result.scored
+        "{:>8.1}us {:>8.1}us {:>12.1}us {:>10}",
+        r.p50_us, r.p95_us, r.concurrent_p95_us, r.scored
+    );
+    println!(
+        "plan: {} ordered scatters, {} dense scans",
+        r.ordered_scatters, r.dense_scans
     );
 
-    let mode_json = |r: &ModeResult| {
-        format!(
-            r#"{{"p50_us":{:.3},"p95_us":{:.3},"concurrent_p95_us":{:.3},"scored":{},"ordered_scatters":{},"dense_scans":{}}}"#,
-            r.p50_us, r.p95_us, r.concurrent_p95_us, r.scored, r.ordered_scatters, r.dense_scans
-        )
-    };
     let json = format!(
-        r#"{{"benchmark":"planner","images":{},"shards":{},"replicas":{},"queries":{},"readers":{},"top_k":{},"frontier":{},"naive":{},"v2":{},"speedup_p50":{speedup_p50:.4},"speedup_p95":{speedup_p95:.4},"concurrent_speedup_p95":{concurrent_speedup_p95:.4}}}"#,
+        r#"{{"benchmark":"planner","images":{},"shards":{},"replicas":{},"queries":{},"readers":{},"top_k":{},"frontier":{},"v2":{{"p50_us":{:.3},"p95_us":{:.3},"concurrent_p95_us":{:.3},"scored":{},"ordered_scatters":{},"dense_scans":{}}}}}"#,
         config.images,
         config.shards,
         config.replicas,
@@ -453,8 +438,12 @@ fn main() -> ExitCode {
         config.readers,
         config.top_k,
         config.frontier,
-        mode_json(&naive_result),
-        mode_json(&v2_result),
+        r.p50_us,
+        r.p95_us,
+        r.concurrent_p95_us,
+        r.scored,
+        r.ordered_scatters,
+        r.dense_scans,
     );
     let write = std::fs::File::create(&config.out).and_then(|mut f| f.write_all(json.as_bytes()));
     match write {

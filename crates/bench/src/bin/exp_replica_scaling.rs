@@ -29,9 +29,7 @@
 
 use be2d_bench::standard_config;
 use be2d_core::convert_scene;
-use be2d_db::{
-    Parallelism, PlannerMode, QueryOptions, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode,
-};
+use be2d_db::{Parallelism, QueryOptions, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode};
 use be2d_workload::metrics::percentile;
 use be2d_workload::{derive_queries, Corpus, CorpusConfig, QueryKind, SceneConfig};
 use std::io::Write as _;
@@ -189,7 +187,6 @@ fn run_point(
         replicas,
         mode,
         oplog_window: 4096,
-        planner: PlannerMode::default(),
         wal: None,
     })
     .expect("in-memory topology always opens");

@@ -130,6 +130,40 @@ pub struct SearchStats {
     /// cannot enter the result (always 0 without
     /// [`two_stage`](crate::QueryOptions::two_stage)).
     pub bound_pruned: usize,
+    /// How the database produced its candidates.
+    pub plan: CandidatePlan,
+}
+
+/// How one search produces its candidate set, decided by the database
+/// from the query's classes, the [`QueryOptions`] and its own
+/// [`ClassIndex`] postings. The plan never changes *which* records are
+/// candidates, only how they are found.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CandidatePlan {
+    /// Whether the inverted index produces the candidates: a
+    /// [`CandidateSource::ClassIndex`] search with a prefilter and a
+    /// query that has classes. Otherwise every record is tested against
+    /// the signature prefilter.
+    pub index_path: bool,
+    /// Upper bound on the candidate count: the smallest query-class
+    /// posting under [`PrefilterMode::AllClasses`], the posting sum
+    /// capped at the record count under [`PrefilterMode::AnyClass`],
+    /// and the record count off the index path.
+    pub estimate: usize,
+    /// How the index path walks its candidates:
+    /// [`CandidateStrategy::DenseScan`] when the estimate covers at
+    /// least half of the records.
+    pub strategy: CandidateStrategy,
+}
+
+impl CandidatePlan {
+    /// Whether the candidate set is provably empty. Only the exact
+    /// index path can prove it: the 64-bit signature admits extra
+    /// candidates through hash collisions, so a scan never qualifies.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.index_path && self.estimate == 0
+    }
 }
 
 /// A monotone score floor shared across shards during one scatter.
@@ -417,6 +451,13 @@ impl ImageDatabase {
     /// two-stage early-exit check; it never changes the merged top-k
     /// (skipped candidates are provably below the global k-th score).
     /// Passing `None` keeps the search self-contained.
+    ///
+    /// The database plans its own candidate generation from its class
+    /// index ([`CandidatePlan`], reported in [`SearchStats::plan`]): a
+    /// provably empty candidate set returns at once, and dense postings
+    /// are walked by [`CandidateStrategy::DenseScan`]. The plan never
+    /// changes which records are candidates, so hits are identical
+    /// whatever it decides.
     #[must_use]
     pub fn search_bounded(
         &self,
@@ -424,81 +465,34 @@ impl ImageDatabase {
         options: &QueryOptions,
         threshold: Option<&ScoreThreshold>,
     ) -> (Vec<SearchHit>, SearchStats) {
-        self.search_planned(query, options, threshold, CandidateStrategy::IndexWalk)
+        let query_classes: Vec<ObjectClass> = query.class_counts().into_keys().collect();
+        let plan = self.candidate_plan(&query_classes, options);
+        self.search_with_plan(query, &query_classes, options, threshold, plan)
     }
 
-    /// [`search_bounded`](Self::search_bounded) with an explicit
-    /// [`CandidateStrategy`] — how the inverted-index candidate set is
-    /// walked when the [`CandidateSource::ClassIndex`] path applies.
-    ///
-    /// The strategy never changes *which* records are candidates, only
-    /// how they are produced: `IndexWalk` materialises the posting
-    /// union/intersection, `DenseScan` iterates the corpus and keeps
-    /// records whose exact posting membership passes the prefilter.
-    /// Both yield the identical set, so hits — scores, ids, tie-breaks —
-    /// and [`SearchStats`] are bit-identical across strategies. The
-    /// scatter planner picks per shard from measured selectivity.
-    #[must_use]
-    pub fn search_planned<'db>(
+    /// [`search_bounded`](Self::search_bounded) under a given plan.
+    fn search_with_plan<'db>(
         &'db self,
         query: &BeString2D,
+        query_classes: &[ObjectClass],
         options: &QueryOptions,
         threshold: Option<&ScoreThreshold>,
-        strategy: CandidateStrategy,
+        plan: CandidatePlan,
     ) -> (Vec<SearchHit>, SearchStats) {
+        let mut stats = SearchStats {
+            plan,
+            ..SearchStats::default()
+        };
+        if plan.is_empty() {
+            return (Vec::new(), stats);
+        }
         let transforms: &[Transform] = if options.transforms.is_empty() {
             &[Transform::Identity]
         } else {
             &options.transforms
         };
-        let query_classes: Vec<ObjectClass> = query.class_counts().into_keys().collect();
-        let query_sig = ClassSignature::from_classes(query_classes.iter());
-
-        let candidates: Vec<&'db ImageRecord> = match (options.candidates, options.prefilter) {
-            // the inverted index produces the candidate set directly;
-            // class-free queries fall back to a full scan
-            (CandidateSource::ClassIndex, prefilter)
-                if prefilter != PrefilterMode::None && !query_classes.is_empty() =>
-            {
-                match strategy {
-                    CandidateStrategy::IndexWalk => {
-                        let ids = match prefilter {
-                            PrefilterMode::AnyClass => self.index.candidates_any(&query_classes),
-                            PrefilterMode::AllClasses => self.index.candidates_all(&query_classes),
-                            PrefilterMode::None => unreachable!("guarded above"),
-                        };
-                        ids.into_iter().filter_map(|id| self.get(id)).collect()
-                    }
-                    // Exact posting membership per record — the same set
-                    // the posting walk materialises, without building the
-                    // near-corpus-sized id union first.
-                    CandidateStrategy::DenseScan => self
-                        .iter()
-                        .filter(|r| match prefilter {
-                            PrefilterMode::AnyClass => {
-                                query_classes.iter().any(|c| self.index.contains(c, r.id))
-                            }
-                            PrefilterMode::AllClasses => {
-                                query_classes.iter().all(|c| self.index.contains(c, r.id))
-                            }
-                            PrefilterMode::None => unreachable!("guarded above"),
-                        })
-                        .collect(),
-                }
-            }
-            _ => self
-                .iter()
-                .filter(|r| match options.prefilter {
-                    PrefilterMode::None => true,
-                    PrefilterMode::AnyClass => r.signature.shares_any(&query_sig),
-                    PrefilterMode::AllClasses => r.signature.covers(&query_sig),
-                })
-                .collect(),
-        };
-        let mut stats = SearchStats {
-            candidates: candidates.len(),
-            ..SearchStats::default()
-        };
+        let candidates = self.candidates(query_classes, options, plan);
+        stats.candidates = candidates.len();
 
         // The query and its transformed variants are encoded once; each
         // worker scores its candidates through its own scratch, LANES
@@ -591,6 +585,88 @@ impl ImageDatabase {
             })
             .collect();
         (hits, stats)
+    }
+
+    /// How a search for `query_classes` under `options` produces its
+    /// candidates here: the one place the inverted-index path, the
+    /// posting-size estimate, and the walk are decided.
+    pub(crate) fn candidate_plan(
+        &self,
+        query_classes: &[ObjectClass],
+        options: &QueryOptions,
+    ) -> CandidatePlan {
+        // The inverted index produces the candidate set directly;
+        // class-free queries fall back to a full scan.
+        let index_path = options.candidates == CandidateSource::ClassIndex
+            && options.prefilter != PrefilterMode::None
+            && !query_classes.is_empty();
+        let len = self.len();
+        let postings = query_classes.iter().map(|c| self.index.postings_len(c));
+        let estimate = match (index_path, options.prefilter) {
+            // Intersection size is at most the smallest posting.
+            (true, PrefilterMode::AllClasses) => postings.min().unwrap_or(0),
+            // Union size is at most the posting sum (and the database).
+            (true, _) => postings.sum::<usize>().min(len),
+            (false, _) => len,
+        };
+        // Postings covering most of the database make the posting
+        // walk's near-corpus-sized id union slower than one dense pass
+        // with exact membership probes.
+        let strategy = if index_path && len > 0 && estimate.saturating_mul(2) >= len {
+            CandidateStrategy::DenseScan
+        } else {
+            CandidateStrategy::IndexWalk
+        };
+        CandidatePlan {
+            index_path,
+            estimate,
+            strategy,
+        }
+    }
+
+    /// The records `plan` admits as candidates, in id order.
+    fn candidates(
+        &self,
+        query_classes: &[ObjectClass],
+        options: &QueryOptions,
+        plan: CandidatePlan,
+    ) -> Vec<&ImageRecord> {
+        if !plan.index_path {
+            let query_sig = ClassSignature::from_classes(query_classes.iter());
+            return self
+                .iter()
+                .filter(|r| match options.prefilter {
+                    PrefilterMode::None => true,
+                    PrefilterMode::AnyClass => r.signature.shares_any(&query_sig),
+                    PrefilterMode::AllClasses => r.signature.covers(&query_sig),
+                })
+                .collect();
+        }
+        let all = options.prefilter == PrefilterMode::AllClasses;
+        match plan.strategy {
+            CandidateStrategy::IndexWalk => {
+                let ids = if all {
+                    self.index.candidates_all(query_classes)
+                } else {
+                    self.index.candidates_any(query_classes)
+                };
+                ids.into_iter().filter_map(|id| self.get(id)).collect()
+            }
+            // Exact posting membership per record: the same set the
+            // posting walk materialises, without building the
+            // near-corpus-sized id union first.
+            CandidateStrategy::DenseScan => self
+                .iter()
+                .filter(|r| {
+                    let mut member = query_classes.iter().map(|c| self.index.contains(c, r.id));
+                    if all {
+                        member.all(|m| m)
+                    } else {
+                        member.any(|m| m)
+                    }
+                })
+                .collect(),
+        }
     }
 
     /// Serialises the database to JSON.
@@ -1139,6 +1215,88 @@ mod tests {
                 assert!((a.score - b.score).abs() < 1e-12);
             }
         }
+    }
+
+    /// Both walks of the index path produce the same candidates and the
+    /// same hits, whichever one the plan would pick: sparse and dense
+    /// postings, any- and all-class prefilters, and an absent class
+    /// whose signature bit collides with a present one (so a walk that
+    /// fell back to the signature would admit false candidates).
+    #[test]
+    fn index_walk_and_dense_scan_agree() {
+        let hot = ObjectClass::new("H");
+        let hot_bits = ClassSignature::from_classes([&hot]).bits();
+        let colliding = (0..10_000)
+            .map(|n| format!("Z{n}"))
+            .find(|name| {
+                ClassSignature::from_classes([&ObjectClass::new(name.as_str())]).bits() == hot_bits
+            })
+            .expect("some name shares H's signature bit");
+
+        let mut db = ImageDatabase::new();
+        for i in 0..40i64 {
+            let mut objs = vec![
+                ("H", (0, 10 + i % 7, 0, 10)),
+                (["X", "Y"][(i % 2) as usize], (30, 60, 30, 60 + i % 5)),
+            ];
+            if i % 8 == 0 {
+                objs.push(("R", (70, 80 + i % 3, 70, 80)));
+            }
+            db.insert_scene(&format!("img{i}"), &scene(&objs)).unwrap();
+        }
+
+        let queries = [
+            scene(&[("R", (70, 81, 70, 80))]),
+            scene(&[("H", (0, 12, 0, 10))]),
+            scene(&[("R", (70, 81, 70, 80)), ("X", (30, 60, 30, 62))]),
+            scene(&[
+                ("H", (0, 12, 0, 10)),
+                (colliding.as_str(), (40, 50, 40, 50)),
+            ]),
+            scene(&[(colliding.as_str(), (40, 50, 40, 50))]),
+        ];
+        let mut picked = Vec::new();
+        for (qi, query) in queries.iter().enumerate() {
+            let query = be2d_core::convert_scene(query);
+            let classes: Vec<ObjectClass> = query.class_counts().into_keys().collect();
+            for prefilter in [PrefilterMode::AnyClass, PrefilterMode::AllClasses] {
+                let options = QueryOptions {
+                    prefilter,
+                    candidates: CandidateSource::ClassIndex,
+                    top_k: None,
+                    ..Default::default()
+                };
+                let plan = db.candidate_plan(&classes, &options);
+                assert!(plan.index_path, "q{qi} {prefilter}");
+                picked.push((plan.strategy, plan.is_empty()));
+                let walk = |strategy| {
+                    let forced = CandidatePlan { strategy, ..plan };
+                    let ids: Vec<RecordId> = db
+                        .candidates(&classes, &options, forced)
+                        .iter()
+                        .map(|r| r.id)
+                        .collect();
+                    let (hits, _) = db.search_with_plan(&query, &classes, &options, None, forced);
+                    (ids, hits)
+                };
+                let (walk_ids, walk_hits) = walk(CandidateStrategy::IndexWalk);
+                let (dense_ids, dense_hits) = walk(CandidateStrategy::DenseScan);
+                assert_eq!(walk_ids, dense_ids, "q{qi} {prefilter} candidates");
+                let (hits, stats) = db.search_bounded(&query, &options, None);
+                assert_eq!(stats.plan, plan);
+                for other in [&walk_hits, &dense_hits] {
+                    assert_eq!(other.len(), hits.len(), "q{qi} {prefilter} hits");
+                    for (a, b) in hits.iter().zip(other) {
+                        assert_eq!(a.id, b.id, "q{qi} {prefilter}");
+                        assert_eq!(a.score.to_bits(), b.score.to_bits(), "q{qi} {prefilter}");
+                    }
+                }
+            }
+        }
+        // The battery reaches every plan: sparse walk, dense scan, empty.
+        assert!(picked.contains(&(CandidateStrategy::IndexWalk, false)));
+        assert!(picked.contains(&(CandidateStrategy::DenseScan, false)));
+        assert!(picked.iter().any(|&(_, empty)| empty));
     }
 
     #[test]

@@ -72,7 +72,9 @@ mod signature;
 pub mod sketch;
 mod snapshot;
 
-pub use database::{ImageDatabase, ImageRecord, RecordId, ScoreThreshold, SearchStats};
+pub use database::{
+    CandidatePlan, ImageDatabase, ImageRecord, RecordId, ScoreThreshold, SearchStats,
+};
 pub use error::DbError;
 pub use events::{Event, EventJournal, EventKind, DEFAULT_EVENT_CAPACITY};
 pub use index::ClassIndex;
@@ -85,6 +87,6 @@ pub use query::{
     CandidateSource, CandidateStrategy, Parallelism, PrefilterMode, QueryOptions, SearchHit,
     TwoStage,
 };
-pub use replica::{PlannerMode, ReplicaConfig, ReplicaStats, ReplicatedImageDatabase};
+pub use replica::{ReplicaConfig, ReplicaStats, ReplicatedImageDatabase};
 pub use reshard::{ReshardProgress, Resharder};
 pub use signature::{ClassSignature, QuerySketch, ScoreBound, ScoreSketch, SKETCH_BUCKETS};

@@ -37,7 +37,7 @@ pub struct DbMetrics {
     /// Per-shard scatter scan duration (index = shard, clamped to the
     /// pool's last slot).
     pub scatter: HistogramPool,
-    /// Gather/merge (`merge_top_k`) duration per multi-shard search.
+    /// Gather/merge (`merge_top_k`) duration per search.
     pub gather: Arc<Histogram>,
     /// End-to-end search duration (entry to exit, all stages included).
     pub search_total: Arc<Histogram>,
@@ -57,11 +57,11 @@ pub struct DbMetrics {
     pub replica_fallback_reads: Arc<Counter>,
     /// Reads currently holding a replica read lock.
     pub outstanding_reads: Arc<Gauge>,
-    /// Multi-shard searches planner v2 ran with a selectivity-ordered
+    /// Multi-shard searches the planner ran with a selectivity-ordered
     /// scatter (first wave sequenced, remainder riding its threshold).
     pub planner_ordered_scatters: Arc<Counter>,
-    /// Per-shard scans where planner v2 chose the dense-scan candidate
-    /// strategy over the posting walk.
+    /// Per-shard scans that walked their candidates with the dense scan
+    /// instead of the posting walk.
     pub planner_dense_scans: Arc<Counter>,
     /// Candidates exactly scored (stage-2 survivors of two-stage
     /// retrieval; every scored candidate in exhaustive mode).
@@ -112,10 +112,10 @@ pub struct QueryTrace {
     pub gather_ns: u64,
     /// End-to-end search duration.
     pub total_ns: u64,
-    /// Whether planner v2 ordered this scatter by per-shard selectivity
-    /// (sequencing the most selective shard first). `false` for naive
-    /// index-order scatters, single-shard searches, and searches whose
-    /// options engage no cross-shard threshold.
+    /// Whether the planner ordered this scatter by per-shard
+    /// selectivity (sequencing the most selective shard first). `false`
+    /// for single-shard searches and searches whose options engage no
+    /// cross-shard threshold.
     pub ordered: bool,
     /// One entry per shard scanned (or skipped by the planner), in
     /// shard-index order regardless of the visit order (each entry's
@@ -140,22 +140,23 @@ pub struct ShardTrace {
     /// Replica the read picker routed this scan to.
     pub replica: usize,
     /// This shard's position in the planner's visit order (0 = scanned
-    /// first). Equal to `shard` under the naive index-order scatter.
+    /// first). Equal to `shard` unless the scatter was
+    /// [`ordered`](QueryTrace::ordered).
     pub order: usize,
     /// Whether this shard formed the sequenced first wave of an ordered
     /// scatter — its k-th exact score seeds the cross-shard threshold
     /// before the remaining shards run.
     pub first_wave: bool,
-    /// Candidate strategy the planner executed on this shard (only ever
-    /// [`CandidateStrategy::DenseScan`] when planner v2 measured the
-    /// shard's postings as covering most of it).
+    /// Candidate strategy the shard executed
+    /// ([`CandidateStrategy::DenseScan`] when its postings cover at
+    /// least half of it; see [`CandidatePlan`](crate::CandidatePlan)).
     pub strategy: CandidateStrategy,
-    /// The planner's candidate-count estimate for this shard (posting
-    /// sizes under the query's prefilter; record count when the options
-    /// bypass the inverted index). 0 for skipped shards.
+    /// The shard's candidate-count estimate (posting sizes under the
+    /// query's prefilter; record count when the options bypass the
+    /// inverted index). 0 for skipped shards.
     pub est_candidates: usize,
-    /// Whether the scatter planner proved the shard empty and skipped
-    /// the scan.
+    /// Whether the shard's plan proved its candidate set empty, so it
+    /// scored nothing.
     pub skipped: bool,
     /// Hits this shard contributed before the global merge.
     pub hits: usize,

@@ -56,8 +56,9 @@ impl fmt::Display for CandidateSource {
     }
 }
 
-/// How one shard *executes* its candidate generation — the per-shard
-/// decision planner v2 takes from measured selectivity. Every strategy
+/// How one database *executes* its candidate generation — decided by
+/// the database itself from its posting sizes (see
+/// [`CandidatePlan`](crate::CandidatePlan)). Every strategy
 /// produces the **same candidate set** for the same
 /// [`CandidateSource`]/[`PrefilterMode`] pair (that is what keeps
 /// rankings bit-identical); they differ only in how the set is walked.

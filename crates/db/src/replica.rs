@@ -95,13 +95,14 @@ use crate::oplog::{
     ShardLog, ShardReplication, WalConfig, WalRecord, WalState,
 };
 use crate::reshard::ReshardProgress;
-use crate::scatter::{merge_top_k, scatter_scan_list, shard_cannot_contribute};
+use crate::scatter::{merge_top_k, scatter_scan_list};
 use crate::snapshot::{
     fresh_snapshot_id, heal_next_id, load_snapshot_at, reroute_shards, save_snapshot_at,
     wal_floor_of, PreviousSnapshot, SnapshotPayload,
 };
 use crate::{
-    CandidateStrategy, DbError, ImageDatabase, ImageRecord, QueryOptions, RecordId, SearchHit,
+    CandidateStrategy, DbError, ImageDatabase, ImageRecord, QueryOptions, RecordId, ScoreThreshold,
+    SearchHit,
 };
 use be2d_core::{BeString2D, SymbolicImage};
 use be2d_geometry::{ObjectClass, Rect, Scene};
@@ -170,8 +171,6 @@ pub struct ReplicaConfig {
     pub oplog_window: usize,
     /// Write-ahead-log durability (off when `None`).
     pub wal: Option<WalConfig>,
-    /// Scatter-planning policy (see [`PlannerMode`]).
-    pub planner: PlannerMode,
 }
 
 impl Default for ReplicaConfig {
@@ -182,35 +181,6 @@ impl Default for ReplicaConfig {
             mode: ReplicationMode::Sync,
             oplog_window: 1024,
             wal: None,
-            planner: PlannerMode::V2,
-        }
-    }
-}
-
-/// How the scatter is planned. Both modes return bit-identical
-/// rankings — the planner only reorders *when* shards run and *how*
-/// each one walks its candidate set, never *what* it scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    /// Visit shards in index order and materialise every inverted-index
-    /// candidate set by posting walk — the pre-planner-v2 behaviour,
-    /// kept for A/B benchmarking (`--planner naive`).
-    Naive,
-    /// Planner v2 (default): order the scatter by per-shard selectivity
-    /// estimated from posting sizes, sequence the most selective shard
-    /// first so the cross-shard [`ScoreThreshold`](crate::ScoreThreshold)
-    /// tightens before the expensive shards run, and choose each shard's
-    /// [`CandidateStrategy`](crate::CandidateStrategy) from the same
-    /// estimate.
-    #[default]
-    V2,
-}
-
-impl std::fmt::Display for PlannerMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlannerMode::Naive => f.write_str("naive"),
-            PlannerMode::V2 => f.write_str("v2"),
         }
     }
 }
@@ -233,7 +203,7 @@ pub(crate) struct Inner {
     /// other's generation files during cleanup, and a save racing a
     /// restore could delete shard files mid-read.
     pub(crate) snapshot_io: parking_lot::Mutex<()>,
-    /// The migration gate: multi-shard searches hold it shared for the
+    /// The migration gate: searches hold it shared for the
     /// whole scatter, reshard batch moves hold it exclusively — a
     /// scatter can never observe a half-moved batch.
     pub(crate) search_gate: RwLock<()>,
@@ -243,8 +213,6 @@ pub(crate) struct Inner {
     pub(crate) progress: parking_lot::Mutex<ReshardProgress>,
     /// Write-acknowledgement mode (fixed at construction).
     pub(crate) mode: ReplicationMode,
-    /// Scatter-planning policy (fixed at construction).
-    pub(crate) planner: PlannerMode,
     /// Op-log ring capacity per shard (fixed at construction).
     pub(crate) oplog_window: usize,
     /// The one global sequence counter. A sequence is assigned under
@@ -778,7 +746,6 @@ impl ReplicatedImageDatabase {
                 reshard_lock: parking_lot::Mutex::new(()),
                 progress: parking_lot::Mutex::new(ReshardProgress::default()),
                 mode: config.mode,
-                planner: config.planner,
                 oplog_window: window,
                 op_seq: AtomicU64::new(0),
                 catchup_replays: AtomicU64::new(0),
@@ -809,12 +776,6 @@ impl ReplicatedImageDatabase {
     #[must_use]
     pub fn replication_mode(&self) -> ReplicationMode {
         self.inner.mode
-    }
-
-    /// The configured scatter-planning policy.
-    #[must_use]
-    pub fn planner_mode(&self) -> PlannerMode {
-        self.inner.planner
     }
 
     /// Number of shards the database routes to (the **target** topology
@@ -1168,23 +1129,23 @@ impl ReplicatedImageDatabase {
     /// shard** (least-outstanding among healthy, in-sync copies —
     /// replicas beyond the mode's lag bound are skipped), merged with
     /// a top-k heap, returned with the per-stage [`QueryTrace`] (whose
-    /// histograms also feed `/v1/metrics`). The scatter planner skips
-    /// shards whose class postings provably cannot contribute (exact
-    /// inverted-index candidates only); under
-    /// [`PlannerMode::V2`] it additionally orders the scatter by
-    /// per-shard selectivity — the most selective shard runs first and
-    /// seeds the cross-shard score threshold — and picks each shard's
-    /// [`CandidateStrategy`](crate::CandidateStrategy) from the same
-    /// estimate.
+    /// histograms also feed `/v1/metrics`). Every topology runs the
+    /// same plan → scan → merge. Each shard plans its own candidate
+    /// generation ([`CandidatePlan`](crate::CandidatePlan)) under the
+    /// read lock it scans with: a provably empty shard is skipped, and
+    /// dense postings are walked by a dense scan. When more than one
+    /// shard is scanned and the options engage a cross-shard score
+    /// threshold, the scatter is ordered by the leaders' candidate
+    /// estimates — the most selective shard that can fill top-k runs
+    /// first and seeds the threshold.
     ///
     /// Ranking — ids, scores, and tie-breaks — is bit-identical to a
-    /// single [`ImageDatabase`] over the same records, in
-    /// **either planner mode**, **even while an online reshard is
-    /// migrating records**: the whole scatter holds the migration gate,
-    /// so batch moves are atomic to it, and the epoch maps each shard's
-    /// local slots back to global ids. Threshold pruning is admissible
-    /// whatever order shards publish into it, so reordering the scatter
-    /// never changes the merged top-k.
+    /// single [`ImageDatabase`] over the same records, **even while an
+    /// online reshard is migrating records**: the whole scatter holds
+    /// the migration gate, so batch moves are atomic to it, and the
+    /// epoch maps each shard's local slots back to global ids.
+    /// Threshold pruning is admissible whatever order shards publish
+    /// into it, so ordering the scatter never changes the merged top-k.
     ///
     /// # Errors
     ///
@@ -1204,118 +1165,41 @@ impl ReplicatedImageDatabase {
         let _gate = self.inner.search_gate.read();
         let mode = self.inner.mode;
         let n = top.sets.len();
-        if n == 1 {
-            let set = &top.sets[0];
-            let replica = set
-                .pick_read(mode, metrics)
-                .ok_or_else(|| ReplicaSet::no_healthy(0))?;
-            metrics.replica_picks.inc();
-            metrics.outstanding_reads.inc();
-            set.begin_read(replica);
-            let scatter_start = Instant::now();
-            let (hits, stats) = set.replicas[replica]
-                .read()
-                .search_bounded(query, options, None);
-            let scatter_ns = elapsed_ns(scatter_start);
-            set.end_read(replica);
-            metrics.outstanding_reads.dec();
-            metrics.scatter.get(0).record_ns(scatter_ns);
-            metrics.stage2_scored.add(stats.scored as u64);
-            metrics.bound_pruned.add(stats.bound_pruned as u64);
-            let total_ns = elapsed_ns(total_start);
-            metrics.search_total.record_ns(total_ns);
-            let trace = QueryTrace {
-                planner_ns: 0,
-                scatter_ns,
-                gather_ns: 0,
-                total_ns,
-                ordered: false,
-                shards: vec![ShardTrace {
-                    shard: 0,
-                    replica,
-                    order: 0,
-                    first_wave: false,
-                    strategy: CandidateStrategy::IndexWalk,
-                    est_candidates: stats.candidates,
-                    skipped: false,
-                    hits: hits.len(),
-                    scored: stats.scored,
-                    bound_pruned: stats.bound_pruned,
-                    elapsed_ns: scatter_ns,
-                }],
-            };
-            return Ok((hits, trace));
-        }
         // Frozen for the whole scatter: the boundary only moves under
         // the exclusive gate.
         let planner_start = Instant::now();
         let epoch = top.epoch();
         let topology = &*top;
         let planner_skipped = &self.inner.planner_skipped;
-        let query_classes: Vec<ObjectClass> = query.class_counts().into_keys().collect();
         // With two-stage pruning on and a top-k bound, shards share a
         // monotone score floor: each publishes its k-th exact score,
         // letting the others stop scoring candidates whose bounds fall
-        // below it — the merged top-k is unchanged.
-        let threshold = (options.two_stage.is_some() && options.top_k.is_some())
-            .then(crate::ScoreThreshold::new);
-        // Planner v2: estimate each shard's candidate count from its
-        // posting sizes (a brief leader read lock; the estimate may go
-        // stale the moment it is read — it only steers order and
-        // strategy, never what gets scored) and choose the candidate
-        // strategy. The inverted-index path applies exactly when
-        // `search_planned` would take it.
-        let index_path = options.candidates == crate::CandidateSource::ClassIndex
-            && options.prefilter != crate::PrefilterMode::None
-            && !query_classes.is_empty();
-        let v2 = self.inner.planner == PlannerMode::V2;
-        let mut est_of = vec![0usize; n];
-        let mut strategy_of = vec![CandidateStrategy::IndexWalk; n];
-        if v2 {
-            for shard in 0..n {
-                let set = &topology.sets[shard];
-                let Some(leader) = set.first_healthy() else {
-                    return Err(ReplicaSet::no_healthy(shard));
-                };
-                let guard = set.replicas[leader].read();
-                let len = guard.len();
-                let est = if index_path {
-                    let index = guard.class_index();
-                    match options.prefilter {
-                        // Intersection size is at most the smallest posting.
-                        crate::PrefilterMode::AllClasses => query_classes
-                            .iter()
-                            .map(|c| index.postings_len(c))
-                            .min()
-                            .unwrap_or(0),
-                        // Union size is at most the posting sum (and the
-                        // shard itself).
-                        crate::PrefilterMode::AnyClass => query_classes
-                            .iter()
-                            .map(|c| index.postings_len(c))
-                            .sum::<usize>()
-                            .min(len),
-                        crate::PrefilterMode::None => unreachable!("index_path excludes None"),
-                    }
-                } else {
-                    len
-                };
-                est_of[shard] = est;
-                // Postings covering most of the shard make the posting
-                // walk's near-corpus-sized id union slower than one
-                // dense pass with exact membership probes.
-                if index_path && len > 0 && est.saturating_mul(2) >= len {
-                    strategy_of[shard] = CandidateStrategy::DenseScan;
-                }
-            }
-        }
+        // below it — the merged top-k is unchanged. A lone shard has
+        // no one to share it with.
+        let threshold = (n > 1 && options.two_stage.is_some() && options.top_k.is_some())
+            .then(ScoreThreshold::new);
         // Visit order: most selective first, so the sequenced first
         // wave raises the shared threshold as early (and as high) as
         // possible. Ordering only pays when a threshold exists to
         // tighten — without one it would serialise a shard for nothing.
-        let ordered = v2 && threshold.is_some();
+        let ordered = threshold.is_some();
         let mut visit: Vec<usize> = (0..n).collect();
         if ordered {
+            // Each leader's candidate estimate, under a brief read lock;
+            // it may go stale the moment it is read — it only steers
+            // the order, never what gets scored.
+            let query_classes: Vec<ObjectClass> = query.class_counts().into_keys().collect();
+            let mut est_of = vec![0usize; n];
+            for (shard, est) in est_of.iter_mut().enumerate() {
+                let set = &topology.sets[shard];
+                let leader = set
+                    .first_healthy()
+                    .ok_or_else(|| ReplicaSet::no_healthy(shard))?;
+                *est = set.replicas[leader]
+                    .read()
+                    .candidate_plan(&query_classes, options)
+                    .estimate;
+            }
             visit.sort_by_key(|&shard| (est_of[shard], shard));
             // The sequenced first wave only pays if it can produce a
             // k-th exact score to seed the threshold: a shard with
@@ -1336,8 +1220,6 @@ impl ReplicatedImageDatabase {
         }
         let planner_ns = elapsed_ns(planner_start);
         let scatter_start = Instant::now();
-        let est_of = &est_of;
-        let strategy_of = &strategy_of;
         let order_of = &order_of;
         let scan = |shard: usize| -> Result<(Vec<SearchHit>, ShardTrace), DbError> {
             let shard_start = Instant::now();
@@ -1349,33 +1231,27 @@ impl ReplicatedImageDatabase {
             metrics.outstanding_reads.inc();
             set.begin_read(replica);
             let guard = set.replicas[replica].read();
-            let (hits, skipped, stats) = if shard_cannot_contribute(&guard, &query_classes, options)
-            {
-                planner_skipped.fetch_add(1, Ordering::Relaxed);
-                (Vec::new(), true, crate::SearchStats::default())
-            } else {
-                let strategy = strategy_of[shard];
-                if strategy == CandidateStrategy::DenseScan {
-                    metrics.planner_dense_scans.inc();
-                }
-                let (mut hits, stats) =
-                    guard.search_planned(query, options, threshold.as_ref(), strategy);
-                for hit in &mut hits {
-                    // Local-slot order maps monotonically to
-                    // global-id order under any epoch (see
-                    // `epoch.rs`), so each per-shard ranked list
-                    // stays merge-ready.
-                    hit.id = RecordId(
-                        epoch
-                            .global_of(shard, hit.id.index())
-                            .expect("occupied slot resolves under the live epoch"),
-                    );
-                }
-                (hits, false, stats)
-            };
+            let (mut hits, stats) = guard.search_bounded(query, options, threshold.as_ref());
             drop(guard);
             set.end_read(replica);
             metrics.outstanding_reads.dec();
+            let skipped = stats.plan.is_empty();
+            if skipped {
+                planner_skipped.fetch_add(1, Ordering::Relaxed);
+            }
+            if stats.plan.strategy == CandidateStrategy::DenseScan {
+                metrics.planner_dense_scans.inc();
+            }
+            for hit in &mut hits {
+                // Local-slot order maps monotonically to global-id
+                // order under any epoch (see `epoch.rs`), so each
+                // per-shard ranked list stays merge-ready.
+                hit.id = RecordId(
+                    epoch
+                        .global_of(shard, hit.id.index())
+                        .expect("occupied slot resolves under the live epoch"),
+                );
+            }
             let shard_ns = elapsed_ns(shard_start);
             metrics.scatter.get(shard).record_ns(shard_ns);
             metrics.stage2_scored.add(stats.scored as u64);
@@ -1385,8 +1261,8 @@ impl ReplicatedImageDatabase {
                 replica,
                 order: order_of[shard],
                 first_wave: ordered && order_of[shard] == 0,
-                strategy: strategy_of[shard],
-                est_candidates: est_of[shard],
+                strategy: stats.plan.strategy,
+                est_candidates: stats.plan.estimate,
                 skipped,
                 hits: hits.len(),
                 scored: stats.scored,

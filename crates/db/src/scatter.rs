@@ -1,15 +1,13 @@
 //! Scatter-gather primitives of the sharded search: the per-shard scan
-//! dispatch, the planner's "cannot contribute" test, and the top-k heap
-//! merge.
+//! dispatch and the top-k heap merge.
 //!
 //! Scores depend only on the record and the query — never on
 //! co-resident records — and the merge preserves the global tie-break
 //! (score desc, id asc), so a scatter-gather ranking is **bit-identical**
-//! to a single [`ImageDatabase`] holding the same records (see
+//! to a single [`ImageDatabase`](crate::ImageDatabase) holding the same records (see
 //! `crates/db/tests/sharded.rs`).
 
-use crate::{CandidateSource, ImageDatabase, PrefilterMode, QueryOptions, SearchHit};
-use be2d_geometry::ObjectClass;
+use crate::SearchHit;
 
 // ---------------------------------------------------------------------------
 // Top-k heap merge
@@ -76,11 +74,12 @@ pub(crate) fn merge_top_k(lists: Vec<Vec<SearchHit>>, top_k: Option<usize>) -> V
 
 /// Runs one scan per listed shard and collects the per-shard results,
 /// in `shards` order. Scatter threads only pay off when there is real
-/// scoring work to split: on a single-core host, or below
-/// `SCATTER_MIN_RECORDS` total records (the caller passes a cheap upper
-/// bound), per-query thread spawns would dominate the microsecond-scale
-/// scans, so the shards are scanned sequentially instead (results are
-/// identical either way).
+/// scoring work to split: with at most one shard to scan, on a
+/// single-core host, or below `SCATTER_MIN_RECORDS` total records (the
+/// caller passes a cheap upper bound), per-query thread spawns would
+/// dominate the microsecond-scale scans, so the shards are scanned
+/// sequentially on the calling thread instead (results are identical
+/// either way).
 pub(crate) fn scatter_scan_list<T, F>(shards: &[usize], approx_records: usize, scan: F) -> Vec<T>
 where
     T: Send,
@@ -88,7 +87,7 @@ where
 {
     const SCATTER_MIN_RECORDS: usize = 64;
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    if cores == 1 || approx_records < SCATTER_MIN_RECORDS {
+    if shards.len() <= 1 || cores == 1 || approx_records < SCATTER_MIN_RECORDS {
         shards.iter().map(|&shard| scan(shard)).collect()
     } else {
         std::thread::scope(|scope| {
@@ -101,39 +100,6 @@ where
                 .map(|h| h.join().expect("shard search panicked"))
                 .collect()
         })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scatter planner
-// ---------------------------------------------------------------------------
-
-/// Whether one shard provably cannot contribute a candidate to the
-/// query — the cross-shard planning primitive the scatter prunes its
-/// fan-out with.
-///
-/// The pruning is **exact only** for inverted-index candidates
-/// ([`CandidateSource::ClassIndex`]): the 64-bit signature used by the
-/// scan path can admit extra candidates through hash collisions, so a
-/// scan-mode shard is never skipped (results must stay bit-identical).
-pub(crate) fn shard_cannot_contribute(
-    db: &ImageDatabase,
-    query_classes: &[ObjectClass],
-    options: &QueryOptions,
-) -> bool {
-    if options.candidates != CandidateSource::ClassIndex || query_classes.is_empty() {
-        return false;
-    }
-    let index = db.class_index();
-    match options.prefilter {
-        // No prefilter means a full scan regardless of postings.
-        PrefilterMode::None => false,
-        // The candidate set is the posting intersection: one absent
-        // class empties it for this shard.
-        PrefilterMode::AllClasses => query_classes.iter().any(|c| index.postings_len(c) == 0),
-        // The candidate set is the posting union: every class must be
-        // absent for the shard to contribute nothing.
-        PrefilterMode::AnyClass => query_classes.iter().all(|c| index.postings_len(c) == 0),
     }
 }
 

@@ -6,8 +6,7 @@
 
 use be2d_core::convert_scene;
 use be2d_db::{
-    PlannerMode, QueryOptions, RecordId, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode,
-    WalConfig,
+    QueryOptions, RecordId, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode, WalConfig,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 use std::io::Write;
@@ -39,7 +38,6 @@ fn wal_config(shards: usize, dir: &Path, fsync_every: u64) -> ReplicaConfig {
         replicas: 1,
         mode: ReplicationMode::Sync,
         oplog_window: 256,
-        planner: PlannerMode::default(),
         wal: Some(WalConfig {
             dir: dir.to_path_buf(),
             fsync_every,
@@ -196,7 +194,6 @@ fn async_mode_with_wal_survives_reboot() {
             replicas: 2,
             mode: ReplicationMode::Async { max_lag: 8 },
             oplog_window: 256,
-            planner: PlannerMode::default(),
             wal: Some(WalConfig {
                 dir: dir.clone(),
                 fsync_every: 1,
@@ -221,7 +218,6 @@ fn async_mode_with_wal_survives_reboot() {
         replicas: 2,
         mode: ReplicationMode::Async { max_lag: 8 },
         oplog_window: 256,
-        planner: PlannerMode::default(),
         wal: Some(WalConfig {
             dir: dir.clone(),
             fsync_every: 4,

@@ -7,7 +7,7 @@
 
 use be2d_core::convert_scene;
 use be2d_db::{
-    CandidateSource, CandidateStrategy, PlannerMode, PrefilterMode, QueryOptions, RecordId,
+    CandidateSource, CandidateStrategy, ImageDatabase, PrefilterMode, QueryOptions, RecordId,
     ReplicaConfig, ReplicatedImageDatabase, ReplicationMode, Resharder, SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
@@ -124,10 +124,11 @@ fn concurrent_edits_never_prune_a_contributing_shard() {
 
     let stop = AtomicBool::new(false);
     let searches = AtomicUsize::new(0);
+    let toggled_once = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let writer = {
             let db = db.clone();
-            let stop = &stop;
+            let (stop, toggled_once) = (&stop, &toggled_once);
             let q = q.clone();
             scope.spawn(move || {
                 let mut toggles = 0u64;
@@ -135,6 +136,7 @@ fn concurrent_edits_never_prune_a_contributing_shard() {
                     db.add_object(toggled, &q, mbr).unwrap();
                     db.remove_object(toggled, &q, mbr).unwrap();
                     toggles += 1;
+                    toggled_once.store(true, Ordering::SeqCst);
                 }
                 toggles
             })
@@ -174,7 +176,9 @@ fn concurrent_edits_never_prune_a_contributing_shard() {
                 }
             })
             .unwrap();
-        while searches.load(Ordering::Relaxed) < 30 {
+        // Stop only once the writer has toggled at least once, so the
+        // liveness assert below holds however the threads are scheduled.
+        while searches.load(Ordering::Relaxed) < 30 || !toggled_once.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
         stop.store(true, Ordering::SeqCst);
@@ -194,28 +198,16 @@ fn concurrent_edits_never_prune_a_contributing_shard() {
 }
 
 // ---------------------------------------------------------------------
-// Planner v2: the selectivity-ordered scatter, per-shard candidate
+// The planner: the selectivity-ordered scatter, per-shard candidate
 // strategy, and least-outstanding replica picker must be pure execution
-// optimisations — every ranking stays bit-identical to the naive
-// index-order scatter, whatever the topology, mid-reshard, and with
-// replicas failed.
+// optimisations — every ranking stays bit-identical to a single
+// `ImageDatabase` holding the same scenes, whatever the topology,
+// mid-reshard, and with replicas failed.
 // ---------------------------------------------------------------------
-
-fn with_planner(shards: usize, replicas: usize, planner: PlannerMode) -> ReplicatedImageDatabase {
-    ReplicatedImageDatabase::with_config(ReplicaConfig {
-        shards,
-        replicas,
-        mode: ReplicationMode::Sync,
-        oplog_window: 512,
-        planner,
-        wal: None,
-    })
-    .expect("in-memory topology always opens")
-}
 
 /// A skewed corpus: every record carries the hot class `H`, a minority
 /// carry the rare class `R`, and positions vary so scores differ. The
-/// skew is what gives planner v2 something to order and a dense-scan
+/// skew is what gives the planner something to order and a dense-scan
 /// opportunity (H's posting covers each shard).
 fn skewed_scene(i: i64) -> Scene {
     let x = (i * 7) % 80;
@@ -234,6 +226,17 @@ fn fill_skewed(db: &ReplicatedImageDatabase, n: i64) {
         db.insert_scene(&format!("img-{i}"), &skewed_scene(i))
             .unwrap();
     }
+}
+
+/// The reference: one `ImageDatabase` holding the same scenes under the
+/// same ids as [`fill_skewed`].
+fn skewed_reference(n: i64) -> ImageDatabase {
+    let mut db = ImageDatabase::new();
+    for i in 0..n {
+        db.insert_scene(&format!("img-{i}"), &skewed_scene(i))
+            .unwrap();
+    }
+    db
 }
 
 /// Queries hitting the rare class (high selectivity), the hot class
@@ -301,11 +304,11 @@ fn option_battery() -> Vec<(&'static str, QueryOptions)> {
     ]
 }
 
-fn assert_identical(naive: &ReplicatedImageDatabase, v2: &ReplicatedImageDatabase, when: &str) {
+fn assert_identical(reference: &ImageDatabase, db: &ReplicatedImageDatabase, when: &str) {
     for (label, options) in option_battery() {
         for (qi, query) in planner_queries().iter().enumerate() {
-            let expect = search(naive, query, &options);
-            let got = search(v2, query, &options);
+            let expect = reference.search_scene(query, &options);
+            let got = search(db, query, &options);
             assert_eq!(expect.len(), got.len(), "{when}: {label} q{qi} length");
             for (rank, (a, b)) in expect.iter().zip(&got).enumerate() {
                 assert_eq!(a.id, b.id, "{when}: {label} q{qi} rank {rank}");
@@ -319,59 +322,56 @@ fn assert_identical(naive: &ReplicatedImageDatabase, v2: &ReplicatedImageDatabas
     }
 }
 
-/// The headline invariant: across topologies, with and without failed
-/// replicas, planner v2 returns bit-identical rankings to the naive
-/// scatter for the whole option battery.
+/// The headline invariant: across topologies, 1×1 included, with and
+/// without failed replicas, the planner returns rankings bit-identical
+/// to a single `ImageDatabase` for the whole option battery.
 #[test]
-fn v2_rankings_bit_identical_to_naive_across_topologies() {
+fn rankings_bit_identical_to_single_database_across_topologies() {
+    let reference = skewed_reference(56);
     for (shards, replicas) in [(1usize, 1usize), (2, 2), (4, 1), (3, 3), (5, 2)] {
-        let naive = with_planner(shards, replicas, PlannerMode::Naive);
-        let v2 = with_planner(shards, replicas, PlannerMode::V2);
-        fill_skewed(&naive, 56);
-        fill_skewed(&v2, 56);
-        assert_identical(&naive, &v2, &format!("{shards}x{replicas}"));
+        let db = ReplicatedImageDatabase::with_topology(shards, replicas);
+        fill_skewed(&db, 56);
+        assert_identical(&reference, &db, &format!("{shards}x{replicas}"));
 
         if replicas > 1 {
             for shard in 0..shards {
-                naive.fail_replica(shard, shard % replicas).unwrap();
-                v2.fail_replica(shard, (shard + 1) % replicas).unwrap();
+                db.fail_replica(shard, shard % replicas).unwrap();
             }
-            assert_identical(&naive, &v2, &format!("{shards}x{replicas} degraded"));
+            assert_identical(&reference, &db, &format!("{shards}x{replicas} degraded"));
         }
     }
 }
 
-/// Mid-reshard identity: while the v2 database migrates 4 → 7 shards,
-/// every checkpoint's rankings still match a naive database that never
-/// resharded — and the quiesced end state matches too.
+/// Mid-reshard identity: while the database migrates 4 → 7 shards,
+/// every checkpoint's rankings still match the single reference — and
+/// the quiesced end state matches too.
 #[test]
-fn v2_stays_bit_identical_mid_reshard() {
-    let naive = with_planner(4, 2, PlannerMode::Naive);
-    let v2 = with_planner(4, 2, PlannerMode::V2);
-    fill_skewed(&naive, 48);
-    fill_skewed(&v2, 48);
+fn stays_bit_identical_to_single_database_mid_reshard() {
+    let reference = skewed_reference(48);
+    let db = ReplicatedImageDatabase::with_topology(4, 2);
+    fill_skewed(&db, 48);
 
     let mut checkpoints = 0;
-    Resharder::new(&v2)
+    Resharder::new(&db)
         .batch_ids(5)
         .run_with_checkpoints(7, |_| {
-            assert_identical(&naive, &v2, "mid-reshard checkpoint");
+            assert_identical(&reference, &db, "mid-reshard checkpoint");
             checkpoints += 1;
         })
         .unwrap();
     assert!(checkpoints >= 5, "reshard actually checkpointed");
-    assert_eq!(v2.shard_count(), 7);
-    assert_identical(&naive, &v2, "after reshard");
+    assert_eq!(db.shard_count(), 7);
+    assert_identical(&reference, &db, "after reshard");
 }
 
 /// The ordered scatter engages exactly when a cross-shard threshold
 /// exists, and the trace exposes the plan: a permutation of visit
 /// positions, one sequenced first wave on the most selective shard,
-/// and selectivity estimates. Naive mode reports an unordered plan.
+/// and selectivity estimates.
 #[test]
 fn ordered_scatter_engages_and_traces_the_plan() {
-    let v2 = with_planner(4, 1, PlannerMode::V2);
-    fill_skewed(&v2, 48);
+    let db = ReplicatedImageDatabase::with_topology(4, 1);
+    fill_skewed(&db, 48);
     let query = &planner_queries()[2]; // H + R: selectivity differs per shard
     let staged = QueryOptions {
         prefilter: PrefilterMode::AllClasses,
@@ -381,10 +381,10 @@ fn ordered_scatter_engages_and_traces_the_plan() {
     }
     .with_two_stage(4);
 
-    let before = v2.metrics().planner_ordered_scatters.get();
-    let (_, trace) = v2.search_traced(&convert_scene(query), &staged).unwrap();
+    let before = db.metrics().planner_ordered_scatters.get();
+    let (_, trace) = db.search_traced(&convert_scene(query), &staged).unwrap();
     assert!(trace.ordered, "threshold present => ordered scatter");
-    assert_eq!(v2.metrics().planner_ordered_scatters.get(), before + 1);
+    assert_eq!(db.metrics().planner_ordered_scatters.get(), before + 1);
 
     // Trace entries stay in shard order; their `order` fields form a
     // permutation and exactly one shard is the sequenced first wave —
@@ -414,65 +414,61 @@ fn ordered_scatter_engages_and_traces_the_plan() {
     );
 
     // No threshold (exhaustive search) => nothing to tighten, no
-    // ordering; and naive mode never orders even with a threshold.
-    let (_, trace) = v2
+    // ordering.
+    let (_, trace) = db
         .search_traced(&convert_scene(query), &option_battery()[1].1)
         .unwrap();
     assert!(!trace.ordered, "no threshold => no ordered scatter");
-
-    let naive = with_planner(4, 1, PlannerMode::Naive);
-    fill_skewed(&naive, 48);
-    let (_, trace) = naive.search_traced(&convert_scene(query), &staged).unwrap();
-    assert!(!trace.ordered);
-    for s in &trace.shards {
-        assert_eq!(s.order, s.shard, "naive visits in index order");
-        assert!(!s.first_wave);
-        assert_eq!(s.strategy, CandidateStrategy::IndexWalk);
-    }
 }
 
-/// Selectivity-driven strategy: a hot-class query (postings covering
-/// the shard) runs as a dense scan, a rare-class query walks the
-/// postings — and both answer bit-identically to naive mode.
+/// Selectivity-driven strategy, in every topology including 1×1: a
+/// hot-class query (postings covering the shard) runs as a dense scan,
+/// a rare-class query walks the postings.
 #[test]
 fn dense_scan_strategy_engages_on_dense_postings_only() {
-    let v2 = with_planner(3, 1, PlannerMode::V2);
-    fill_skewed(&v2, 42);
-    let options = QueryOptions {
-        prefilter: PrefilterMode::AllClasses,
-        candidates: CandidateSource::ClassIndex,
-        top_k: Some(10),
-        ..QueryOptions::default()
-    };
+    for shards in [1, 3] {
+        let db = ReplicatedImageDatabase::with_topology(shards, 1);
+        fill_skewed(&db, 42);
+        let options = QueryOptions {
+            prefilter: PrefilterMode::AllClasses,
+            candidates: CandidateSource::ClassIndex,
+            top_k: Some(10),
+            ..QueryOptions::default()
+        };
 
-    // Hot class: every record in every shard carries H, so the planner
-    // must choose the dense scan everywhere.
-    let before = v2.metrics().planner_dense_scans.get();
-    let (_, trace) = v2
-        .search_traced(&convert_scene(&planner_queries()[1]), &options)
-        .unwrap();
-    for s in &trace.shards {
-        assert_eq!(
-            s.strategy,
-            CandidateStrategy::DenseScan,
-            "shard {}",
-            s.shard
-        );
-    }
-    assert_eq!(v2.metrics().planner_dense_scans.get(), before + 3);
-
-    // Rare class: sparse postings walk the index.
-    let (_, trace) = v2
-        .search_traced(&convert_scene(&planner_queries()[0]), &options)
-        .unwrap();
-    for s in &trace.shards {
-        if !s.skipped {
+        // Hot class: every record in every shard carries H, so the
+        // planner must choose the dense scan everywhere.
+        let before = db.metrics().planner_dense_scans.get();
+        let (_, trace) = db
+            .search_traced(&convert_scene(&planner_queries()[1]), &options)
+            .unwrap();
+        assert_eq!(trace.shards.len(), shards);
+        for s in &trace.shards {
             assert_eq!(
                 s.strategy,
-                CandidateStrategy::IndexWalk,
-                "shard {}",
+                CandidateStrategy::DenseScan,
+                "{shards} shards: shard {}",
                 s.shard
             );
+        }
+        assert_eq!(
+            db.metrics().planner_dense_scans.get(),
+            before + shards as u64
+        );
+
+        // Rare class: sparse postings walk the index.
+        let (_, trace) = db
+            .search_traced(&convert_scene(&planner_queries()[0]), &options)
+            .unwrap();
+        for s in &trace.shards {
+            if !s.skipped {
+                assert_eq!(
+                    s.strategy,
+                    CandidateStrategy::IndexWalk,
+                    "{shards} shards: shard {}",
+                    s.shard
+                );
+            }
         }
     }
 }
@@ -490,7 +486,6 @@ fn async_bounded_reads_stay_exact_during_live_reshard() {
         replicas: 3,
         mode: ReplicationMode::Async { max_lag: 0 },
         oplog_window: 512,
-        planner: PlannerMode::V2,
         wal: None,
     })
     .unwrap();
@@ -509,9 +504,10 @@ fn async_bounded_reads_stay_exact_during_live_reshard() {
 
     let inserted = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
+    let read_once = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let db2 = db.clone();
-        let (inserted_ref, stop_ref) = (&inserted, &stop);
+        let (inserted_ref, stop_ref, read_once_ref) = (&inserted, &stop, &read_once);
         let (probe_ref, options_ref) = (&probe, &options);
         let reader = scope.spawn(move || {
             let mut rounds = 0usize;
@@ -527,6 +523,7 @@ fn async_bounded_reads_stay_exact_during_live_reshard() {
                     hits.len()
                 );
                 rounds += 1;
+                read_once_ref.store(true, Ordering::SeqCst);
             }
             rounds
         });
@@ -538,6 +535,11 @@ fn async_bounded_reads_stay_exact_during_live_reshard() {
             if i == 10 {
                 Resharder::new(&db).batch_ids(7).run(5).unwrap();
             }
+            std::thread::yield_now();
+        }
+        // Stop only once the reader has finished a round, so the
+        // liveness assert below holds however the threads are scheduled.
+        while !read_once.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
         stop.store(true, Ordering::SeqCst);

@@ -111,8 +111,7 @@ fn single_shard_trace_has_one_entry() {
         .search_traced(&convert_scene(&scenes[0]), &QueryOptions::default())
         .unwrap();
     assert_eq!(trace.shards.len(), 1);
-    assert_eq!(trace.planner_ns, 0);
-    assert_eq!(trace.gather_ns, 0);
+    assert!(trace.stage_sum_ns() <= trace.total_ns);
     assert!(trace.scatter_ns <= trace.total_ns);
 }
 

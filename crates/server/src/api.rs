@@ -653,7 +653,7 @@ pub struct ShardTraceDto {
     /// Replica the read picker chose.
     pub replica: usize,
     /// Position in the planner's visit order (0 = scanned first;
-    /// equal to `shard` under the naive index-order scatter).
+    /// equal to `shard` unless the scatter was ordered).
     pub order: usize,
     /// Whether this shard formed the sequenced first wave of a
     /// selectivity-ordered scatter.
@@ -688,7 +688,7 @@ pub struct TraceDto {
     pub gather_ms: f64,
     /// End-to-end search duration.
     pub total_ms: f64,
-    /// Whether planner v2 ordered this scatter by per-shard
+    /// Whether the planner ordered this scatter by per-shard
     /// selectivity (sequencing the most selective shard first).
     pub ordered: bool,
     /// One entry per shard, in shard-index order (each entry's
@@ -919,8 +919,6 @@ pub struct ReplicaLagDto {
 /// `/v1/stats` planner section.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlannerSection {
-    /// The scatter planner in effect: `"v2"` or `"naive"`.
-    pub mode: String,
     /// Shards the scatter planner skipped since boot.
     pub skipped: u64,
     /// Multi-shard searches run with a selectivity-ordered scatter.

@@ -9,7 +9,7 @@
 //! this to learn the ephemeral port) and `be2d-server shutdown complete`
 //! after a graceful shutdown.
 
-use be2d_db::{PlannerMode, ReplicatedImageDatabase, ReplicationMode};
+use be2d_db::{ReplicatedImageDatabase, ReplicationMode};
 use be2d_server::{AdvisorMode, Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -32,10 +32,6 @@ fn usage() -> &'static str {
                           default), quorum (majority), or async[:LAG] (leader\n\
                           only; followers drain in the background, reads stay\n\
                           within LAG ops — default LAG 1024)\n\
-       --planner MODE     scatter planner: v2 (selectivity-ordered scatter,\n\
-                          per-shard candidate strategy, least-loaded replica\n\
-                          routing — default) or naive (index-order scatter\n\
-                          for A/B comparison; rankings are identical)\n\
        --oplog-window N   per-shard operation-log window; healed replicas\n\
                           whose gap fits replay just the missed ops instead\n\
                           of cloning (default 1024)\n\
@@ -118,13 +114,6 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, Option<PathBuf>), String
                     .ok_or_else(|| "--reshard-batch must be a positive number".to_owned())?;
             }
             "--replication" => config.replication = parse_replication(&value("--replication")?)?,
-            "--planner" => {
-                config.planner = match value("--planner")?.as_str() {
-                    "v2" => PlannerMode::V2,
-                    "naive" => PlannerMode::Naive,
-                    other => return Err(format!("unknown planner {other:?} (want v2 or naive)")),
-                };
-            }
             "--oplog-window" => {
                 config.oplog_window = value("--oplog-window")?
                     .parse::<usize>()

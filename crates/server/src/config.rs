@@ -1,7 +1,7 @@
 //! Server configuration.
 
 use crate::advisor::AdvisorMode;
-use be2d_db::{PlannerMode, ReplicaConfig, ReplicationMode, WalConfig};
+use be2d_db::{ReplicaConfig, ReplicationMode, WalConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -39,11 +39,6 @@ pub struct ServerConfig {
     /// gap fits the window catches up by replaying just the missed
     /// ops; a larger gap falls back to a full clone.
     pub oplog_window: usize,
-    /// Scatter planner: `V2` (the default) orders multi-shard scatters
-    /// by per-shard selectivity, picks a candidate strategy per shard,
-    /// and routes reads to the least-loaded replica; `Naive` keeps the
-    /// index-order scatter for A/B comparison.
-    pub planner: PlannerMode,
     /// Write-ahead-log directory; `Some` turns on crash-durable
     /// logging (every mutation appended, recovery = anchor snapshot +
     /// replay on boot).
@@ -109,7 +104,6 @@ impl Default for ServerConfig {
             reshard_batch: 256,
             replication: ReplicationMode::Sync,
             oplog_window: 1024,
-            planner: PlannerMode::default(),
             wal_dir: None,
             wal_fsync_every: 64,
             queue_capacity: 64,
@@ -142,7 +136,6 @@ impl ServerConfig {
             replicas: self.replicas,
             mode: self.replication,
             oplog_window: self.oplog_window,
-            planner: self.planner,
             wal: self.wal_dir.clone().map(|dir| WalConfig {
                 dir,
                 fsync_every: self.wal_fsync_every,

@@ -578,7 +578,6 @@ fn stats(state: &AppState) -> Response {
                 fallback_reads: replication.fallback_reads,
             },
             planner: PlannerSection {
-                mode: state.db.planner_mode().to_string(),
                 skipped: state.db.planner_skipped(),
                 ordered_scatters: state.db.metrics().planner_ordered_scatters.get(),
                 dense_scans: state.db.metrics().planner_dense_scans.get(),

@@ -190,7 +190,7 @@ pub(crate) fn build_registry(
     }
     registry.register_histogram(
         "be2d_db_gather_duration_seconds",
-        "K-way merge (gather) duration per multi-shard search",
+        "K-way merge (gather) duration per search",
         &[],
         Arc::clone(&m.gather),
     );
@@ -244,7 +244,7 @@ pub(crate) fn build_registry(
     );
     registry.register_counter(
         "be2d_db_planner_dense_scans_total",
-        "Per-shard scans where planner v2 chose the dense-scan candidate strategy",
+        "Per-shard scans that walked their candidates with the dense scan",
         &[],
         Arc::clone(&m.planner_dense_scans),
     );

@@ -90,9 +90,7 @@ def metrics(report):
         ]
     if schema == "planner":
         return [
-            ("v2 p95 speedup over naive", "floor",
-             report["speedup_p95"], "x"),
-            ("v2 p95 latency", "ceiling", report["v2"]["p95_us"], "us"),
+            ("planner p95 latency", "ceiling", report["v2"]["p95_us"], "us"),
         ]
     print(f"::error::bench gate: unknown benchmark schema {schema!r}")
     sys.exit(1)

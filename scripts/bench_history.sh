@@ -77,10 +77,8 @@ def summarise(report):
     if report.get("benchmark") == "planner":
         return {
             "kind": "planner",
-            "speedup_p95": round(report["speedup_p95"], 3),
             "v2_p95_us": round(report["v2"]["p95_us"], 1),
             "v2_scored": report["v2"]["scored"],
-            "naive_scored": report["naive"]["scored"],
         }
     if "catchup" in report:
         return {

@@ -201,24 +201,21 @@ else:
 if os.path.exists(planner_path):
     with open(planner_path) as f:
         planner = json.load(f)
-    print(f"### Planner v2 under hot-shard skew "
+    print(f"### Planner under hot-shard skew "
           f"({planner['images']} images over {planner['shards']} shards "
           f"× {planner['replicas']} replicas, top-{planner['top_k']}, "
           f"frontier {planner['frontier']}; rankings asserted "
-          "bit-identical to naive)")
+          "bit-identical to a single ImageDatabase)")
     print()
-    print("| mode | p50 | p95 | concurrent p95 | exactly scored |")
-    print("|:---|---:|---:|---:|---:|")
-    for tag in ("naive", "v2"):
-        mode = planner[tag]
-        print(f"| {tag} | {mode['p50_us'] / 1000:.2f} ms "
-              f"| {mode['p95_us'] / 1000:.2f} ms "
-              f"| {mode['concurrent_p95_us'] / 1000:.2f} ms "
-              f"| {mode['scored']} |")
-    print()
-    print(f"**v2 vs naive: p50 {planner['speedup_p50']:.2f}×, "
-          f"p95 {planner['speedup_p95']:.2f}×, "
-          f"concurrent p95 {planner['concurrent_speedup_p95']:.2f}×**")
+    print("| p50 | p95 | concurrent p95 | exactly scored "
+          "| ordered scatters | dense scans |")
+    print("|---:|---:|---:|---:|---:|---:|")
+    run = planner["v2"]
+    print(f"| {run['p50_us'] / 1000:.2f} ms "
+          f"| {run['p95_us'] / 1000:.2f} ms "
+          f"| {run['concurrent_p95_us'] / 1000:.2f} ms "
+          f"| {run['scored']} | {run['ordered_scatters']} "
+          f"| {run['dense_scans']} |")
 else:
     print(f"_no {planner_path} found_")
 PY
