@@ -36,10 +36,11 @@
 //!        "ordered_scatters":...,"dense_scans":...}}
 //! ```
 
+use be2d_bench::FRONTIER;
 use be2d_core::convert_scene;
 use be2d_db::{
-    CandidateSource, ImageDatabase, PrefilterMode, QueryOptions, ReplicaConfig,
-    ReplicatedImageDatabase, ReplicationMode,
+    ImageDatabase, PrefilterMode, QueryOptions, ReplicaConfig, ReplicatedImageDatabase,
+    ReplicationMode,
 };
 use be2d_geometry::{Scene, SceneBuilder};
 use be2d_workload::metrics::percentile;
@@ -64,8 +65,6 @@ struct Config {
     window: Duration,
     /// Result size per query (the threshold seed).
     top_k: usize,
-    /// Stage-2 frontier batch size.
-    frontier: usize,
     out: String,
 }
 
@@ -79,7 +78,6 @@ impl Config {
             readers: 4,
             window: Duration::from_millis(800),
             top_k: 10,
-            frontier: 64,
             out: "BENCH_planner.json".into(),
         }
     }
@@ -106,7 +104,6 @@ fn usage() -> &'static str {
        --replicas N         replicas per shard\n\
        --readers N          concurrent readers in the contended phase\n\
        --top-k N            result size per query\n\
-       --frontier N         stage-2 frontier batch size\n\
        --out PATH           JSON report path (default BENCH_planner.json)\n\
        --help               this text\n"
 }
@@ -139,7 +136,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
             "--replicas" => config.replicas = parsed.map_err(|_| "--replicas must be a number")?,
             "--readers" => config.readers = parsed.map_err(|_| "--readers must be a number")?,
             "--top-k" => config.top_k = parsed.map_err(|_| "--top-k must be a number")?,
-            "--frontier" => config.frontier = parsed.map_err(|_| "--frontier must be a number")?,
             "--out" => config.out = value,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -280,11 +276,9 @@ struct PlannerResult {
 fn measure(config: &Config, db: &ReplicatedImageDatabase, queries: &[Scene]) -> PlannerResult {
     let options = QueryOptions {
         prefilter: PrefilterMode::AllClasses,
-        candidates: CandidateSource::ClassIndex,
         top_k: Some(config.top_k),
         ..QueryOptions::default()
-    }
-    .with_two_stage(config.frontier);
+    };
 
     for query in queries.iter().take(4) {
         std::hint::black_box(
@@ -372,13 +366,8 @@ fn main() -> ExitCode {
 
     println!("=== E16: planner under hot-shard skew ===\n");
     println!(
-        "{} images over {} shards x {} replicas, {} queries, top-{} frontier {}\n",
-        config.images,
-        config.shards,
-        config.replicas,
-        config.queries,
-        config.top_k,
-        config.frontier
+        "{} images over {} shards x {} replicas, {} queries, top-{} frontier {FRONTIER}\n",
+        config.images, config.shards, config.replicas, config.queries, config.top_k,
     );
 
     let (db, reference) = build(&config);
@@ -387,11 +376,9 @@ fn main() -> ExitCode {
     // Equivalence first: the optimisation must not exist observably.
     let options = QueryOptions {
         prefilter: PrefilterMode::AllClasses,
-        candidates: CandidateSource::ClassIndex,
         top_k: Some(config.top_k),
         ..QueryOptions::default()
-    }
-    .with_two_stage(config.frontier);
+    };
     for (qi, query) in battery.iter().enumerate() {
         let expect = reference.search_scene(query, &options);
         let got = db
@@ -430,14 +417,13 @@ fn main() -> ExitCode {
     );
 
     let json = format!(
-        r#"{{"benchmark":"planner","images":{},"shards":{},"replicas":{},"queries":{},"readers":{},"top_k":{},"frontier":{},"v2":{{"p50_us":{:.3},"p95_us":{:.3},"concurrent_p95_us":{:.3},"scored":{},"ordered_scatters":{},"dense_scans":{}}}}}"#,
+        r#"{{"benchmark":"planner","images":{},"shards":{},"replicas":{},"queries":{},"readers":{},"top_k":{},"frontier":{FRONTIER},"v2":{{"p50_us":{:.3},"p95_us":{:.3},"concurrent_p95_us":{:.3},"scored":{},"ordered_scatters":{},"dense_scans":{}}}}}"#,
         config.images,
         config.shards,
         config.replicas,
         config.queries,
         config.readers,
         config.top_k,
-        config.frontier,
         r.p50_us,
         r.p95_us,
         r.concurrent_p95_us,

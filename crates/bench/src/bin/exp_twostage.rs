@@ -1,10 +1,12 @@
-//! E15 — two-stage retrieval economics: what the admissible score bound
+//! E15 — bounded retrieval economics: what the admissible score bound
 //! buys at stage 1 and what the exact §3 re-rank still costs.
 //!
 //! Over a seeded corpus, a battery of corpus-derived queries runs twice
-//! at each corpus size — exhaustive (every candidate exactly scored)
-//! and two-stage (candidates ranked by the admissible [`ScoreBound`],
-//! only a frontier exactly scored, early exit once the k-th exact score
+//! at each corpus size through `ImageDatabase::search_bounded` —
+//! exhaustive (no threshold: every candidate exactly scored) and
+//! staged (a fresh `ScoreThreshold`: candidates ranked by the
+//! admissible [`ScoreBound`], exactly scored in batches of the
+//! database's fixed frontier, early exit once the k-th exact score
 //! dominates every remaining bound). The experiment reports, per corpus
 //! size:
 //!
@@ -19,7 +21,7 @@
 //! Writes `BENCH_twostage.json`:
 //!
 //! ```json
-//! {"benchmark":"twostage","frontier":32,"top_k":10,"sweep":[
+//! {"benchmark":"twostage","frontier":64,"top_k":10,"sweep":[
 //!  {"images":500,"candidates":...,"scored":...,"bound_pruned":...,
 //!   "scored_fraction":...,"exhaustive_p50_us":...,"staged_p50_us":...,
 //!   "speedup_p50":...}]}
@@ -27,8 +29,8 @@
 //!
 //! [`ScoreBound`]: be2d_db::ScoreBound
 
-use be2d_bench::standard_config;
-use be2d_db::{ImageDatabase, QueryOptions, SearchStats};
+use be2d_bench::{standard_config, FRONTIER};
+use be2d_db::{ImageDatabase, QueryOptions, ScoreThreshold, SearchStats};
 use be2d_workload::metrics::percentile;
 use be2d_workload::{Corpus, CorpusConfig, SceneConfig};
 use std::io::Write as _;
@@ -41,8 +43,6 @@ struct Config {
     images: usize,
     /// Queries per corpus size (drawn evenly from the corpus).
     queries: usize,
-    /// Stage-2 frontier batch size.
-    frontier: usize,
     /// Result size requested per query.
     top_k: usize,
     out: String,
@@ -53,7 +53,6 @@ impl Config {
         Config {
             images: 2000,
             queries: 24,
-            frontier: 32,
             top_k: 10,
             out: "BENCH_twostage.json".into(),
         }
@@ -70,13 +69,12 @@ impl Config {
 }
 
 fn usage() -> &'static str {
-    "exp_twostage — price two-stage retrieval: exact-scoring reduction and latency vs corpus size\n\
+    "exp_twostage — price bounded retrieval: exact-scoring reduction and latency vs corpus size\n\
      \n\
      options:\n\
        --preset small|full  workload size (default full; CI uses small)\n\
        --images N           largest corpus in the sweep\n\
        --queries N          queries per corpus size\n\
-       --frontier N         stage-2 frontier batch size\n\
        --top-k N            result size requested per query\n\
        --out PATH           JSON report path (default BENCH_twostage.json)\n\
        --help               this text\n"
@@ -106,14 +104,13 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         match flag.as_str() {
             "--images" => config.images = parsed.map_err(|_| "--images must be a number")?,
             "--queries" => config.queries = parsed.map_err(|_| "--queries must be a number")?,
-            "--frontier" => config.frontier = parsed.map_err(|_| "--frontier must be a number")?,
             "--top-k" => config.top_k = parsed.map_err(|_| "--top-k must be a number")?,
             "--out" => config.out = value,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if config.images == 0 || config.queries == 0 || config.frontier == 0 {
-        return Err("--images, --queries and --frontier must be at least 1".into());
+    if config.images == 0 || config.queries == 0 {
+        return Err("--images and --queries must be at least 1".into());
     }
     Ok(config)
 }
@@ -135,17 +132,16 @@ fn measure(config: &Config, corpus: &Corpus, images: usize) -> (ModeTotals, Mode
             queries.push(be2d_core::SymbolicImage::from_scene(scene).to_be_string_2d());
         }
     }
-    let exhaustive_options = QueryOptions {
+    let options = QueryOptions {
         top_k: Some(config.top_k),
         ..QueryOptions::default()
     };
-    let staged_options = exhaustive_options.clone().with_two_stage(config.frontier);
 
     let mut exhaustive = ModeTotals::default();
     let mut staged = ModeTotals::default();
     for query in &queries {
         let t0 = Instant::now();
-        let (expect, stats) = db.search_bounded(query, &exhaustive_options, None);
+        let (expect, stats) = db.search_bounded(query, &options, None);
         exhaustive
             .latencies_us
             .push(t0.elapsed().as_secs_f64() * 1e6);
@@ -154,7 +150,7 @@ fn measure(config: &Config, corpus: &Corpus, images: usize) -> (ModeTotals, Mode
         exhaustive.stats.bound_pruned += stats.bound_pruned;
 
         let t0 = Instant::now();
-        let (hits, stats) = db.search_bounded(query, &staged_options, None);
+        let (hits, stats) = db.search_bounded(query, &options, Some(&ScoreThreshold::new()));
         staged.latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
         staged.stats.candidates += stats.candidates;
         staged.stats.scored += stats.scored;
@@ -163,12 +159,12 @@ fn measure(config: &Config, corpus: &Corpus, images: usize) -> (ModeTotals, Mode
         assert_eq!(
             expect.len(),
             hits.len(),
-            "two-stage changed the result size"
+            "the bound changed the result size"
         );
         for (a, b) in expect.iter().zip(&hits) {
             assert!(
                 a.id == b.id && a.score.to_bits() == b.score.to_bits(),
-                "two-stage broke bit-identity at {images} images"
+                "the bound broke bit-identity at {images} images"
             );
         }
     }
@@ -192,10 +188,10 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("=== E15: two-stage retrieval (scoring reduction, latency) ===\n");
+    println!("=== E15: bounded retrieval (scoring reduction, latency) ===\n");
     println!(
-        "corpus up to {} images, {} queries per size, frontier {}, top-{}\n",
-        config.images, config.queries, config.frontier, config.top_k
+        "corpus up to {} images, {} queries per size, frontier {FRONTIER}, top-{}\n",
+        config.images, config.queries, config.top_k
     );
     let corpus = Corpus::generate(
         &CorpusConfig {
@@ -244,10 +240,9 @@ fn main() -> ExitCode {
     }
 
     let json = format!(
-        r#"{{"benchmark":"twostage","images":{},"queries":{},"frontier":{},"top_k":{},"sweep":[{}]}}"#,
+        r#"{{"benchmark":"twostage","images":{},"queries":{},"frontier":{FRONTIER},"top_k":{},"sweep":[{}]}}"#,
         config.images,
         config.queries,
-        config.frontier,
         config.top_k,
         rows.join(",")
     );

@@ -13,6 +13,10 @@ use be2d_geometry::{ObjectClass, Rect, Scene};
 use be2d_workload::{Placement, SceneConfig};
 use std::time::Duration;
 
+/// Candidates a bounded `be2d-db` search exactly scores per batch.
+/// The database fixes it; experiment reports carry it as `frontier`.
+pub const FRONTIER: usize = 64;
+
 /// The canonical random-scene configuration used across experiments
 /// (uniform placement, 6-class alphabet), parameterised by object count.
 #[must_use]

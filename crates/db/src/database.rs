@@ -1,8 +1,8 @@
 //! The image database proper.
 
 use crate::{
-    CandidateSource, CandidateStrategy, ClassIndex, ClassSignature, DbError, PrefilterMode,
-    QueryOptions, QuerySketch, ScoreSketch, SearchHit,
+    CandidateStrategy, ClassIndex, DbError, PrefilterMode, QueryOptions, QuerySketch, ScoreSketch,
+    SearchHit,
 };
 use be2d_core::{
     transformed, BeString2D, Boundary, ExactScorer, ScoreScratch, Similarity, SymbolicImage, LANES,
@@ -43,19 +43,15 @@ pub struct ImageRecord {
     pub name: String,
     /// The coordinate-annotated 2D BE-string (§3.2 stored form).
     pub symbolic: SymbolicImage,
-    /// Class signature for prefiltering.
-    pub signature: ClassSignature,
-    /// Score-bound sketch for two-stage retrieval. Derived from
-    /// `symbolic` and refreshed by every §3.2 edit alongside the
-    /// signature.
+    /// Score-bound sketch for bounded retrieval. Derived from
+    /// `symbolic` and refreshed by every §3.2 edit.
     pub sketch: ScoreSketch,
 }
 
 impl ImageRecord {
-    /// Recomputes the derived retrieval metadata — class signature and
-    /// score-bound sketch — from the symbolic picture, materialising its
-    /// 2D BE-string once, and returns the picture's distinct classes.
-    fn refresh_signature(&mut self) -> Vec<ObjectClass> {
+    /// Recomputes the score-bound sketch from the symbolic picture and
+    /// returns the picture's distinct classes.
+    fn refresh_derived(&mut self) -> Vec<ObjectClass> {
         // Every object has one begin event per axis, so the x-axis
         // begins name each class present.
         let mut classes: Vec<ObjectClass> = self
@@ -68,7 +64,6 @@ impl ImageRecord {
             .collect();
         classes.sort_unstable();
         classes.dedup();
-        self.signature = ClassSignature::from_classes(classes.iter());
         self.sketch = ScoreSketch::of(&self.symbolic.to_be_string_2d());
         classes
     }
@@ -78,14 +73,14 @@ impl ImageRecord {
 // snapshots written before it existed (manifest v1–v4, plain JSON
 // saves) still load — an absent, stale-versioned, or malformed sketch
 // is recomputed from the symbolic picture, which is always correct
-// because the sketch is derived data.
+// because the sketch is derived data. A `signature` field, written by
+// saves before candidates became exact, is ignored.
 impl Serialize for ImageRecord {
     fn to_value(&self) -> Value {
         Value::Map(vec![
             ("id".to_owned(), self.id.to_value()),
             ("name".to_owned(), self.name.to_value()),
             ("symbolic".to_owned(), self.symbolic.to_value()),
-            ("signature".to_owned(), self.signature.to_value()),
             ("sketch".to_owned(), self.sketch.to_value()),
         ])
     }
@@ -107,11 +102,6 @@ impl Deserialize for ImageRecord {
             id: RecordId::from_value(serde::get_field(entries, "ImageRecord", "id")?)?,
             name: String::from_value(serde::get_field(entries, "ImageRecord", "name")?)?,
             symbolic,
-            signature: ClassSignature::from_value(serde::get_field(
-                entries,
-                "ImageRecord",
-                "signature",
-            )?)?,
             sketch,
         })
     }
@@ -119,7 +109,8 @@ impl Deserialize for ImageRecord {
 
 /// Scoring-effort accounting of one search, for metrics and traces:
 /// how many candidates survived the prefilter, how many were exactly
-/// scored, and how many two-stage retrieval pruned by bound.
+/// scored, and how many a bounded search pruned by bound. Every
+/// candidate is either scored or pruned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Candidates surviving the prefilter (stage-1 input).
@@ -127,23 +118,23 @@ pub struct SearchStats {
     /// Candidates exactly scored (stage-2 survivors).
     pub scored: usize,
     /// Candidates skipped because their admissible bound proved they
-    /// cannot enter the result (always 0 without
-    /// [`two_stage`](crate::QueryOptions::two_stage)).
+    /// cannot enter the result (always 0 when
+    /// [`search_bounded`](ImageDatabase::search_bounded) scores
+    /// directly).
     pub bound_pruned: usize,
     /// How the database produced its candidates.
     pub plan: CandidatePlan,
 }
 
 /// How one search produces its candidate set, decided by the database
-/// from the query's classes, the [`QueryOptions`] and its own
+/// from the query's classes, the [`PrefilterMode`] and its own
 /// [`ClassIndex`] postings. The plan never changes *which* records are
 /// candidates, only how they are found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidatePlan {
-    /// Whether the inverted index produces the candidates: a
-    /// [`CandidateSource::ClassIndex`] search with a prefilter and a
-    /// query that has classes. Otherwise every record is tested against
-    /// the signature prefilter.
+    /// Whether the inverted index produces the candidates: a search
+    /// with a prefilter and a query that has classes. Otherwise every
+    /// record is a candidate.
     pub index_path: bool,
     /// Upper bound on the candidate count: the smallest query-class
     /// posting under [`PrefilterMode::AllClasses`], the posting sum
@@ -157,9 +148,8 @@ pub struct CandidatePlan {
 }
 
 impl CandidatePlan {
-    /// Whether the candidate set is provably empty. Only the exact
-    /// index path can prove it: the 64-bit signature admits extra
-    /// candidates through hash collisions, so a scan never qualifies.
+    /// Whether the candidate set is provably empty: an index-path plan
+    /// whose postings hold no record.
     #[must_use]
     pub fn is_empty(self) -> bool {
         self.index_path && self.estimate == 0
@@ -311,10 +301,9 @@ impl ImageDatabase {
             id,
             name: name.to_owned(),
             symbolic,
-            signature: ClassSignature::default(),
             sketch: ScoreSketch::default(),
         };
-        let classes = record.refresh_signature();
+        let classes = record.refresh_derived();
         self.index.insert_record(id, classes);
         self.records[id.index()] = Some(Box::new(record));
         Ok(())
@@ -374,7 +363,7 @@ impl ImageDatabase {
             .and_then(Option::as_deref_mut)
             .ok_or(DbError::UnknownRecord { id: id.index() })?;
         record.symbolic.add_object(class, mbr)?;
-        record.refresh_signature();
+        record.refresh_derived();
         self.index.add_class(id, class.clone());
         Ok(())
     }
@@ -398,7 +387,7 @@ impl ImageDatabase {
             .and_then(Option::as_deref_mut)
             .ok_or(DbError::UnknownRecord { id: id.index() })?;
         record.symbolic.remove_object(class, mbr)?;
-        let classes = record.refresh_signature();
+        let classes = record.refresh_derived();
         // drop the posting only when the last object of the class went
         if !classes.contains(class) {
             self.index.remove_class(id, class);
@@ -435,9 +424,7 @@ impl ImageDatabase {
     /// modified-LCS similarity for each transform in
     /// `options.transforms`; results are ranked by score (ties broken by
     /// id for determinism), floored at `min_score` and truncated to
-    /// `top_k`. With [`two_stage`](QueryOptions::two_stage) set, exact
-    /// scoring runs bound-ranked in frontier batches and stops early —
-    /// the results are bit-identical either way.
+    /// `top_k`.
     #[must_use]
     pub fn search(&self, query: &BeString2D, options: &QueryOptions) -> Vec<SearchHit> {
         self.search_bounded(query, options, None).0
@@ -446,11 +433,49 @@ impl ImageDatabase {
     /// [`search`](Self::search) plus its [`SearchStats`], with an
     /// optional cross-shard [`ScoreThreshold`].
     ///
-    /// The threshold lets a scatter-gather caller propagate the best
-    /// k-th exact score seen by *any* shard into every other shard's
-    /// two-stage early-exit check; it never changes the merged top-k
-    /// (skipped candidates are provably below the global k-th score).
-    /// Passing `None` keeps the search self-contained.
+    /// With a threshold the search is **bounded**: candidates are
+    /// ranked by an admissible score bound
+    /// ([`QuerySketch`](crate::QuerySketch)), exactly scored in batches
+    /// of 64 from the best bound down, and the scan stops once every
+    /// remaining bound falls strictly below the local k-th exact score
+    /// or the shared floor. The threshold lets a scatter-gather caller
+    /// propagate the best k-th exact score seen by *any* shard into
+    /// every other shard's early-exit check; skipped candidates are
+    /// provably below the global k-th score. Passing `None` scores
+    /// every candidate directly. The results are bit-identical either
+    /// way:
+    ///
+    /// ```
+    /// use be2d_db::{ImageDatabase, QueryOptions, ScoreThreshold};
+    /// use be2d_geometry::SceneBuilder;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut db = ImageDatabase::new();
+    /// for i in 0..200i64 {
+    ///     let scene = SceneBuilder::new(100, 100)
+    ///         .object("A", (i % 7, i % 7 + 20, 0, 30))
+    ///         .object("B", (40, 90, i % 11 + 5, i % 11 + 40))
+    ///         .build()?;
+    ///     db.insert_scene(&format!("img{i}"), &scene)?;
+    /// }
+    /// let query = be2d_core::convert_scene(
+    ///     &SceneBuilder::new(100, 100)
+    ///         .object("A", (3, 23, 0, 30))
+    ///         .object("B", (40, 90, 10, 45))
+    ///         .build()?,
+    /// );
+    /// let options = QueryOptions::default();
+    /// let (direct, _) = db.search_bounded(&query, &options, None);
+    /// let (bounded, stats) = db.search_bounded(&query, &options, Some(&ScoreThreshold::new()));
+    /// assert_eq!(stats.candidates, stats.scored + stats.bound_pruned);
+    /// assert_eq!(direct.len(), bounded.len());
+    /// for (a, b) in direct.iter().zip(&bounded) {
+    ///     assert_eq!(a.id, b.id);
+    ///     assert_eq!(a.score.to_bits(), b.score.to_bits());
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// The database plans its own candidate generation from its class
     /// index ([`CandidatePlan`], reported in [`SearchStats::plan`]): a
@@ -513,7 +538,7 @@ impl ImageDatabase {
 
         // Exact scoring of one batch, reusing the parallelism policy
         // per batch (the whole candidate set IS the batch in the
-        // exhaustive path). The calling thread scores the first chunk
+        // direct path). The calling thread scores the first chunk
         // itself and spawns helpers only for the rest: one thread per
         // chunk, instead of `threads` helpers plus a caller idling in
         // `join` while they compete for the same cores.
@@ -543,16 +568,15 @@ impl ImageDatabase {
             }
         };
 
-        let mut scored: Vec<Scored<'db>> = match options.two_stage {
-            Some(ts) => {
+        let mut scored: Vec<Scored<'db>> = match threshold {
+            Some(threshold) => {
                 let variants: Vec<BeString2D> =
                     transforms.iter().map(|&t| transformed(query, t)).collect();
                 let qsketch = QuerySketch::of_variants(&variants);
-                two_stage_scan(
+                bounded_scan(
                     &qsketch,
                     candidates,
                     options,
-                    ts.frontier.max(1),
                     threshold,
                     &mut score_batch,
                     &mut stats,
@@ -595,11 +619,9 @@ impl ImageDatabase {
         query_classes: &[ObjectClass],
         options: &QueryOptions,
     ) -> CandidatePlan {
-        // The inverted index produces the candidate set directly;
-        // class-free queries fall back to a full scan.
-        let index_path = options.candidates == CandidateSource::ClassIndex
-            && options.prefilter != PrefilterMode::None
-            && !query_classes.is_empty();
+        // The inverted index produces the candidate set directly; with
+        // no prefilter or no query class every record is a candidate.
+        let index_path = options.prefilter != PrefilterMode::None && !query_classes.is_empty();
         let len = self.len();
         let postings = query_classes.iter().map(|c| self.index.postings_len(c));
         let estimate = match (index_path, options.prefilter) {
@@ -632,15 +654,7 @@ impl ImageDatabase {
         plan: CandidatePlan,
     ) -> Vec<&ImageRecord> {
         if !plan.index_path {
-            let query_sig = ClassSignature::from_classes(query_classes.iter());
-            return self
-                .iter()
-                .filter(|r| match options.prefilter {
-                    PrefilterMode::None => true,
-                    PrefilterMode::AnyClass => r.signature.shares_any(&query_sig),
-                    PrefilterMode::AllClasses => r.signature.covers(&query_sig),
-                })
-                .collect();
+            return self.iter().collect();
         }
         let all = options.prefilter == PrefilterMode::AllClasses;
         match plan.strategy {
@@ -716,22 +730,26 @@ impl ImageDatabase {
     }
 }
 
-/// Stage 1 + frontier loop of two-stage retrieval.
+/// Candidates exactly scored per batch of a bounded search: large
+/// enough to amortise a batch's bookkeeping, small enough that
+/// selective queries stop after one or two batches.
+const FRONTIER: usize = 64;
+
+/// Bound ranking + frontier loop of a bounded search.
 ///
 /// Candidates are ranked by their admissible score bound (descending,
 /// ids ascending for determinism) and exactly scored in
-/// `frontier`-sized batches. Before each batch the loop checks whether
+/// [`FRONTIER`]-sized batches. Before each batch the loop checks whether
 /// the next (= highest remaining) bound falls **strictly** below
 /// either the local k-th retained exact score or the shared
 /// cross-shard floor; strict comparison is what preserves the
 /// bit-identical id tie-break — a candidate whose bound *equals* the
 /// k-th score could still tie it exactly and win on the smaller id.
-fn two_stage_scan<'db>(
+fn bounded_scan<'db>(
     qsketch: &QuerySketch,
     candidates: Vec<&'db ImageRecord>,
     options: &QueryOptions,
-    frontier: usize,
-    threshold: Option<&ScoreThreshold>,
+    threshold: &ScoreThreshold,
     score_batch: &mut dyn FnMut(&[&'db ImageRecord]) -> Vec<Scored<'db>>,
     stats: &mut SearchStats,
 ) -> Vec<Scored<'db>> {
@@ -772,12 +790,12 @@ fn two_stage_scan<'db>(
                     .peek()
                     .is_some_and(|std::cmp::Reverse(kth)| kth.0 > next_bound)
         });
-        let shared_stop = threshold.is_some_and(|t| t.get() > next_bound);
+        let shared_stop = threshold.get() > next_bound;
         if local_stop || shared_stop {
             stats.bound_pruned += ranked.len() - at;
             break;
         }
-        let end = (at + frontier).min(ranked.len());
+        let end = (at + FRONTIER).min(ranked.len());
         let batch: Vec<&ImageRecord> = ranked[at..end].iter().map(|&(_, r)| r).collect();
         let batch_hits = score_batch(&batch);
         stats.scored += batch_hits.len();
@@ -793,10 +811,8 @@ fn two_stage_scan<'db>(
             }
             // Publish the local k-th score: it witnesses k retained
             // hits at or above it, globally valid as a floor.
-            if let (Some(shared), true) = (threshold, kth_heap.len() == k) {
-                if let Some(std::cmp::Reverse(kth)) = kth_heap.peek() {
-                    shared.raise(kth.0);
-                }
+            if let (Some(std::cmp::Reverse(kth)), true) = (kth_heap.peek(), kth_heap.len() == k) {
+                threshold.raise(kth.0);
             }
         }
         hits.extend(batch_hits);
@@ -813,7 +829,7 @@ struct Scored<'db> {
     similarity: Similarity,
 }
 
-/// `f64` score with total order, for the two-stage k-th-score heap.
+/// `f64` score with total order, for the bounded scan's k-th-score heap.
 /// Scores are never NaN (they are ratios of non-negative integers).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrderedScore(f64);
@@ -1070,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn signature_updates_with_edits() {
+    fn index_and_sketch_track_edits() {
         let (mut db, a, _, _) = sample_db();
         let q = scene(&[("X", (0, 9, 0, 9))]);
         let before = db.search_scene(&q, &QueryOptions::default());
@@ -1164,74 +1180,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn index_and_scan_candidates_agree() {
-        let mut db = ImageDatabase::new();
-        for i in 0..40i64 {
-            let class_a = ["A", "B", "C", "D"][(i % 4) as usize];
-            let class_b = ["X", "Y"][(i % 2) as usize];
-            let s = scene(&[
-                (class_a, (0, 10 + i % 7, 0, 10)),
-                (class_b, (30, 60, 30, 60 + i % 5)),
-            ]);
-            db.insert_scene(&format!("img{i}"), &s).unwrap();
-        }
-        // remove a few records and edit one so index maintenance is covered
-        db.remove(RecordId(5)).unwrap();
-        db.remove(RecordId(17)).unwrap();
-        db.add_object(
-            RecordId(3),
-            &ObjectClass::new("Q"),
-            Rect::new(70, 80, 70, 80).unwrap(),
-        )
-        .unwrap();
-
-        let query = scene(&[("A", (0, 12, 0, 10)), ("X", (30, 60, 30, 62))]);
-        for prefilter in [PrefilterMode::AnyClass, PrefilterMode::AllClasses] {
-            let scan = db.search_scene(
-                &query,
-                &QueryOptions {
-                    prefilter,
-                    candidates: CandidateSource::Scan,
-                    top_k: None,
-                    ..Default::default()
-                },
-            );
-            let index = db.search_scene(
-                &query,
-                &QueryOptions {
-                    prefilter,
-                    candidates: CandidateSource::ClassIndex,
-                    top_k: None,
-                    ..Default::default()
-                },
-            );
-            // the index is exact; the signature scan may admit extra
-            // candidates via hash collisions — but with these class names
-            // there are none, so results must be identical
-            assert_eq!(scan.len(), index.len(), "{prefilter}");
-            for (a, b) in scan.iter().zip(&index) {
-                assert_eq!(a.id, b.id, "{prefilter}");
-                assert!((a.score - b.score).abs() < 1e-12);
-            }
-        }
-    }
-
     /// Both walks of the index path produce the same candidates and the
     /// same hits, whichever one the plan would pick: sparse and dense
     /// postings, any- and all-class prefilters, and an absent class
-    /// whose signature bit collides with a present one (so a walk that
-    /// fell back to the signature would admit false candidates).
+    /// whose hash collides with a present one in 64 bits (so a walk
+    /// that filtered by a class hash would admit false candidates).
     #[test]
     fn index_walk_and_dense_scan_agree() {
-        let hot = ObjectClass::new("H");
-        let hot_bits = ClassSignature::from_classes([&hot]).bits();
+        let bit = |name: &str| crate::signature::fnv1a(name.bytes()) % 64;
         let colliding = (0..10_000)
             .map(|n| format!("Z{n}"))
-            .find(|name| {
-                ClassSignature::from_classes([&ObjectClass::new(name.as_str())]).bits() == hot_bits
-            })
-            .expect("some name shares H's signature bit");
+            .find(|name| bit(name) == bit("H"))
+            .expect("some name shares H's hash bit");
 
         let mut db = ImageDatabase::new();
         for i in 0..40i64 {
@@ -1262,7 +1222,6 @@ mod tests {
             for prefilter in [PrefilterMode::AnyClass, PrefilterMode::AllClasses] {
                 let options = QueryOptions {
                     prefilter,
-                    candidates: CandidateSource::ClassIndex,
                     top_k: None,
                     ..Default::default()
                 };
@@ -1300,13 +1259,12 @@ mod tests {
     }
 
     #[test]
-    fn index_source_empty_query_falls_back_to_scan() {
+    fn class_free_query_admits_every_record() {
         let (db, _, _, _) = sample_db();
         let empty = Scene::new(10, 10).unwrap();
         let hits = db.search_scene(
             &empty,
             &QueryOptions {
-                candidates: CandidateSource::ClassIndex,
                 top_k: None,
                 min_score: -1.0,
                 ..Default::default()
@@ -1325,10 +1283,7 @@ mod tests {
             )
             .unwrap();
         let q = scene(&[("A", (0, 5, 0, 5))]);
-        let opts = QueryOptions {
-            candidates: CandidateSource::ClassIndex,
-            ..QueryOptions::default()
-        };
+        let opts = QueryOptions::default();
         db.remove_object(id, &ObjectClass::new("A"), Rect::new(0, 5, 0, 5).unwrap())
             .unwrap();
         assert_eq!(db.search_scene(&q, &opts).len(), 1, "one A remains indexed");

@@ -1,11 +1,10 @@
 //! Inverted class index: exact candidate generation without scanning.
 //!
-//! The 64-bit [`ClassSignature`](crate::ClassSignature) is an O(1)
-//! *per-record* filter applied during a scan; this index goes one step
-//! further and produces the candidate set directly from the query's
-//! classes — the textbook inverted-file layout of iconic indexing
-//! systems. It is exact (no hash collisions) at the cost of a postings
-//! map that must be maintained on every edit.
+//! Every prefiltered search takes its candidates from here: the index
+//! produces the candidate set directly from the query's classes — the
+//! textbook inverted-file layout of iconic indexing systems. It is
+//! exact (no hash collisions) at the cost of a postings map that must
+//! be maintained on every edit.
 
 use crate::database::RecordId;
 use be2d_geometry::ObjectClass;
@@ -133,7 +132,7 @@ impl ClassIndex {
 
     /// Whether `id` appears in `class`'s posting list — the exact
     /// per-record membership probe the planner's dense-scan candidate
-    /// strategy filters with (no signature hash collisions).
+    /// strategy filters with.
     #[must_use]
     pub fn contains(&self, class: &ObjectClass, id: RecordId) -> bool {
         self.postings

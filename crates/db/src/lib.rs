@@ -8,10 +8,12 @@
 //!
 //! * [`ImageDatabase`] — insert/remove images, add/drop single objects in
 //!   place (§3.2), ranked [`search`](ImageDatabase::search);
-//! * [`QueryOptions`] — top-k, score floor, candidate prefiltering by
-//!   64-bit class signatures, D4 transform set, parallel scan, and
-//!   two-stage retrieval (rank by admissible [`ScoreBound`], exact-score
-//!   a frontier, stop early — bit-identical results);
+//! * [`QueryOptions`] — what to retrieve: top-k, score floor, class
+//!   prefilter (answered exactly by the inverted [`ClassIndex`]), D4
+//!   transform set and parallel scan. How is the database's own
+//!   choice: a multi-shard top-k search ranks candidates by an
+//!   admissible [`ScoreBound`], exact-scores a frontier and stops
+//!   early, with bit-identical results;
 //! * [`SearchHit`] — per-result score, best transform and the full
 //!   per-axis similarity breakdown;
 //! * [`ReplicatedImageDatabase`] — N independently locked shards × R
@@ -83,10 +85,7 @@ pub use oplog::{
     OplogStats, ReplicaLag, ReplicationMode, ReplicationStats, ShardReplication, WalConfig,
     WalStats,
 };
-pub use query::{
-    CandidateSource, CandidateStrategy, Parallelism, PrefilterMode, QueryOptions, SearchHit,
-    TwoStage,
-};
+pub use query::{CandidateStrategy, Parallelism, PrefilterMode, QueryOptions, SearchHit, TwoStage};
 pub use replica::{ReplicaConfig, ReplicaStats, ReplicatedImageDatabase};
 pub use reshard::{ReshardProgress, Resharder};
-pub use signature::{ClassSignature, QuerySketch, ScoreBound, ScoreSketch, SKETCH_BUCKETS};
+pub use signature::{QuerySketch, ScoreBound, ScoreSketch, SKETCH_BUCKETS};

@@ -63,10 +63,10 @@ pub struct DbMetrics {
     /// Per-shard scans that walked their candidates with the dense scan
     /// instead of the posting walk.
     pub planner_dense_scans: Arc<Counter>,
-    /// Candidates exactly scored (stage-2 survivors of two-stage
-    /// retrieval; every scored candidate in exhaustive mode).
+    /// Candidates exactly scored (the survivors of a bounded search;
+    /// every candidate of a direct one).
     pub stage2_scored: Arc<Counter>,
-    /// Candidates two-stage retrieval skipped because their admissible
+    /// Candidates a bounded search skipped because their admissible
     /// score bound proved they cannot enter the result.
     pub bound_pruned: Arc<Counter>,
 }
@@ -113,9 +113,10 @@ pub struct QueryTrace {
     /// End-to-end search duration.
     pub total_ns: u64,
     /// Whether the planner ordered this scatter by per-shard
-    /// selectivity (sequencing the most selective shard first). `false`
-    /// for single-shard searches and searches whose options engage no
-    /// cross-shard threshold.
+    /// selectivity (sequencing the most selective shard first): every
+    /// multi-shard search with a `top_k`, since those are bounded under
+    /// a cross-shard threshold. `false` for single-shard searches and
+    /// searches with no `top_k`.
     pub ordered: bool,
     /// One entry per shard scanned (or skipped by the planner), in
     /// shard-index order regardless of the visit order (each entry's
@@ -162,7 +163,8 @@ pub struct ShardTrace {
     pub hits: usize,
     /// Candidates this shard exactly scored (stage-2 survivors).
     pub scored: usize,
-    /// Candidates this shard's two-stage scan pruned by bound.
+    /// Candidates this shard's bounded scan pruned by bound (0 when it
+    /// scored directly).
     pub bound_pruned: usize,
     /// Scan duration for this shard, in nanoseconds.
     pub elapsed_ns: u64,

@@ -7,19 +7,19 @@ use std::fmt;
 
 use crate::database::RecordId;
 
-/// Candidate prefiltering policy applied before scoring (see
-/// [`ClassSignature`](crate::ClassSignature)).
+/// Candidate prefiltering policy applied before scoring, answered
+/// exactly by the inverted [`ClassIndex`](crate::ClassIndex).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum PrefilterMode {
     /// Score every record.
     None,
-    /// Keep records that (may) share at least one class with the query.
+    /// Keep records that share at least one class with the query.
     /// Default: a record sharing no class can only score via free-space
     /// dummies, which is never a useful hit.
     #[default]
     AnyClass,
-    /// Keep records whose class set (likely) covers the whole query class
-    /// set — for "find images containing all of these icons" queries.
+    /// Keep records whose class set covers the whole query class set —
+    /// for "find images containing all of these icons" queries.
     AllClasses,
 }
 
@@ -33,41 +33,18 @@ impl fmt::Display for PrefilterMode {
     }
 }
 
-/// How the candidate set for a search is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum CandidateSource {
-    /// Scan all records, applying the [`PrefilterMode`] via the per-record
-    /// 64-bit class signature (O(records) with a tiny constant). Default.
-    #[default]
-    Scan,
-    /// Generate candidates from the inverted
-    /// [`ClassIndex`](crate::ClassIndex) posting lists — exact and
-    /// sub-linear when the query classes are selective. Falls back to a
-    /// full scan for class-free queries.
-    ClassIndex,
-}
-
-impl fmt::Display for CandidateSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CandidateSource::Scan => f.write_str("scan"),
-            CandidateSource::ClassIndex => f.write_str("class-index"),
-        }
-    }
-}
-
 /// How one database *executes* its candidate generation — decided by
 /// the database itself from its posting sizes (see
 /// [`CandidatePlan`](crate::CandidatePlan)). Every strategy
-/// produces the **same candidate set** for the same
-/// [`CandidateSource`]/[`PrefilterMode`] pair (that is what keeps
-/// rankings bit-identical); they differ only in how the set is walked.
+/// produces the **same candidate set** for the same [`PrefilterMode`]
+/// (that is what keeps rankings bit-identical); they differ only in
+/// how the set is walked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum CandidateStrategy {
     /// Materialise candidate ids from the inverted-index posting lists
     /// (union or intersection), then fetch each record — sub-linear when
-    /// the query classes are selective. Default, and the only strategy
-    /// the scan-based [`CandidateSource::Scan`] path can report.
+    /// the query classes are selective. Default, and what a search off
+    /// the index path reports.
     #[default]
     IndexWalk,
     /// Iterate every record in id order and keep the ones whose exact
@@ -160,46 +137,10 @@ impl fmt::Display for Parallelism {
     }
 }
 
-/// Configuration of two-stage retrieval: rank candidates by an
-/// admissible score bound ([`QuerySketch`](crate::QuerySketch)), run
-/// exact §3 scoring in `frontier`-sized batches from the best bound
-/// down, and stop once the k-th exact score strictly dominates every
-/// remaining bound.
-///
-/// Because the bound is admissible, the results — ids, scores,
-/// tie-breaks — are bit-identical to the exhaustive scan; only the
-/// number of exact scoring calls changes. See
-/// [`QueryOptions::two_stage`] for a worked example and
-/// `docs/ARCHITECTURE.md` for where the stage sits in the query
-/// lifecycle.
+/// The field-less value of the retired two-stage request in
+/// [`QueryOptions`]. It carries nothing, and the engine ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct TwoStage {
-    /// Candidates exactly scored per batch. Smaller frontiers
-    /// terminate earlier but synchronise more often; zero is treated
-    /// as one.
-    pub frontier: usize,
-}
-
-impl TwoStage {
-    /// Default frontier batch size: large enough to amortise a batch's
-    /// bookkeeping, small enough that selective queries stop after one
-    /// or two batches.
-    pub const DEFAULT_FRONTIER: usize = 64;
-}
-
-impl Default for TwoStage {
-    fn default() -> Self {
-        TwoStage {
-            frontier: TwoStage::DEFAULT_FRONTIER,
-        }
-    }
-}
-
-impl fmt::Display for TwoStage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "frontier={}", self.frontier)
-    }
-}
+pub struct TwoStage {}
 
 /// Parameters of one similarity search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -216,44 +157,13 @@ pub struct QueryOptions {
     pub config: SimilarityConfig,
     /// Candidate prefiltering policy.
     pub prefilter: PrefilterMode,
-    /// How candidates are produced (signature scan vs inverted index).
-    pub candidates: CandidateSource,
     /// Scan record chunks on multiple threads (see [`Parallelism`]).
     pub parallel: Parallelism,
-    /// Two-stage retrieval: rank candidates by an admissible score
-    /// bound and exact-score only a frontier (`None` = score every
-    /// candidate). Results are bit-identical either way.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use be2d_db::{ImageDatabase, QueryOptions};
-    /// use be2d_geometry::SceneBuilder;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let mut db = ImageDatabase::new();
-    /// for i in 0..50i64 {
-    ///     let scene = SceneBuilder::new(100, 100)
-    ///         .object("A", (i % 7, i % 7 + 20, 0, 30))
-    ///         .object("B", (40, 90, i % 11 + 5, i % 11 + 40))
-    ///         .build()?;
-    ///     db.insert_scene(&format!("img{i}"), &scene)?;
-    /// }
-    /// let query = SceneBuilder::new(100, 100)
-    ///     .object("A", (3, 23, 0, 30))
-    ///     .object("B", (40, 90, 10, 45))
-    ///     .build()?;
-    /// let exhaustive = db.search_scene(&query, &QueryOptions::default());
-    /// let two_stage = db.search_scene(&query, &QueryOptions::default().with_two_stage(16));
-    /// // The admissible bound makes the rankings bit-identical:
-    /// assert_eq!(exhaustive.len(), two_stage.len());
-    /// for (a, b) in exhaustive.iter().zip(&two_stage) {
-    ///     assert_eq!(a.id, b.id);
-    ///     assert_eq!(a.score.to_bits(), b.score.to_bits());
-    /// }
-    /// # Ok(())
-    /// # }
-    /// ```
+    /// Accepted and ignored: each search decides for itself whether to
+    /// rank candidates by an admissible score bound (see
+    /// [`ImageDatabase::search_bounded`](crate::ImageDatabase::search_bounded)),
+    /// and results are bit-identical either way. Kept so that callers
+    /// built against the old two-stage switch still compile.
     pub two_stage: Option<TwoStage>,
 }
 
@@ -265,7 +175,6 @@ impl Default for QueryOptions {
             transforms: vec![Transform::Identity],
             config: SimilarityConfig::default(),
             prefilter: PrefilterMode::default(),
-            candidates: CandidateSource::default(),
             parallel: Parallelism::Off,
             two_stage: None,
         }
@@ -290,24 +199,15 @@ impl QueryOptions {
         self
     }
 
-    /// Preset for online serving: candidates from the inverted class
-    /// index and [`Parallelism::Auto`] scoring, so small queries stay
-    /// cheap while large candidate sets use every core.
+    /// Preset for online serving: [`Parallelism::Auto`] scoring, so
+    /// small queries stay cheap while large candidate sets use every
+    /// core.
     #[must_use]
     pub fn serving() -> Self {
         QueryOptions {
-            candidates: CandidateSource::ClassIndex,
             parallel: Parallelism::Auto,
             ..QueryOptions::default()
         }
-    }
-
-    /// Returns a copy with two-stage retrieval enabled at the given
-    /// frontier batch size (see [`TwoStage`]; zero is treated as one).
-    #[must_use]
-    pub fn with_two_stage(mut self, frontier: usize) -> Self {
-        self.two_stage = Some(TwoStage { frontier });
-        self
     }
 }
 
@@ -352,7 +252,6 @@ mod tests {
     #[test]
     fn serving_preset() {
         let o = QueryOptions::serving();
-        assert_eq!(o.candidates, CandidateSource::ClassIndex);
         assert_eq!(o.parallel, Parallelism::Auto);
         assert_eq!(o.top_k, Some(10), "rest stays at the defaults");
     }
@@ -388,8 +287,5 @@ mod tests {
         assert_eq!(PrefilterMode::None.to_string(), "none");
         assert_eq!(PrefilterMode::AnyClass.to_string(), "any-class");
         assert_eq!(PrefilterMode::AllClasses.to_string(), "all-classes");
-        assert_eq!(CandidateSource::Scan.to_string(), "scan");
-        assert_eq!(CandidateSource::ClassIndex.to_string(), "class-index");
-        assert_eq!(CandidateSource::default(), CandidateSource::Scan);
     }
 }

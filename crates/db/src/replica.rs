@@ -1133,11 +1133,13 @@ impl ReplicatedImageDatabase {
     /// same plan → scan → merge. Each shard plans its own candidate
     /// generation ([`CandidatePlan`](crate::CandidatePlan)) under the
     /// read lock it scans with: a provably empty shard is skipped, and
-    /// dense postings are walked by a dense scan. When more than one
-    /// shard is scanned and the options engage a cross-shard score
-    /// threshold, the scatter is ordered by the leaders' candidate
-    /// estimates — the most selective shard that can fill top-k runs
-    /// first and seeds the threshold.
+    /// dense postings are walked by a dense scan. A search over more
+    /// than one shard with a `top_k` is bounded
+    /// ([`search_bounded`](ImageDatabase::search_bounded)) under a
+    /// shared cross-shard score threshold, and its scatter is ordered by
+    /// the leaders' candidate estimates — the most selective shard that
+    /// can fill top-k runs first and seeds the threshold. Any other
+    /// search scores every candidate directly.
     ///
     /// Ranking — ids, scores, and tie-breaks — is bit-identical to a
     /// single [`ImageDatabase`] over the same records, **even while an
@@ -1171,13 +1173,13 @@ impl ReplicatedImageDatabase {
         let epoch = top.epoch();
         let topology = &*top;
         let planner_skipped = &self.inner.planner_skipped;
-        // With two-stage pruning on and a top-k bound, shards share a
-        // monotone score floor: each publishes its k-th exact score,
-        // letting the others stop scoring candidates whose bounds fall
+        // A multi-shard top-k search is bounded: shards share a
+        // monotone score floor, each publishes its k-th exact score,
+        // and the others stop scoring candidates whose bounds fall
         // below it — the merged top-k is unchanged. A lone shard has
-        // no one to share it with.
-        let threshold = (n > 1 && options.two_stage.is_some() && options.top_k.is_some())
-            .then(ScoreThreshold::new);
+        // no one to share it with, so it scores directly, as does a
+        // search with no top-k (nothing can be pruned).
+        let threshold = (n > 1 && options.top_k.is_some()).then(ScoreThreshold::new);
         // Visit order: most selective first, so the sequenced first
         // wave raises the shared threshold as early (and as high) as
         // possible. Ordering only pays when a threshold exists to

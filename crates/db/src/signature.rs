@@ -1,20 +1,15 @@
-//! Candidate prefiltering and stage-1 score bounds.
+//! Admissible score bounds: cheap math before the expensive LCS.
 //!
-//! Two layers of "cheap math before the expensive LCS" live here:
-//!
-//! 1. [`ClassSignature`] — a boolean 64-bit Bloom filter over the class
-//!    set. Collisions only ever *admit* extra candidates (false
-//!    positives) — they never reject a genuine one — so prefiltering is
-//!    lossless for the supported modes.
-//! 2. [`ScoreSketch`] / [`QuerySketch`] / [`ScoreBound`] — the
-//!    quantised per-image spatial sketch behind two-stage retrieval
-//!    ([`QueryOptions::two_stage`](crate::QueryOptions::two_stage)): a
-//!    saturating per-bucket histogram of `(class, boundary)` symbols
-//!    plus a coarse relation-pair summary (quantised first/last
-//!    position intervals per bucket), per axis. From a query sketch and
-//!    a stored sketch the database computes an **admissible upper
-//!    bound** on the §3/§4 similarity score in O(buckets²), without
-//!    touching the O(mn) LCS.
+//! [`ScoreSketch`] / [`QuerySketch`] / [`ScoreBound`] are the quantised
+//! per-image spatial sketch behind bounded retrieval
+//! ([`ImageDatabase::search_bounded`](crate::ImageDatabase::search_bounded)):
+//! a saturating per-bucket histogram of `(class, boundary)` symbols
+//! plus a coarse relation-pair summary (quantised first/last position
+//! intervals per bucket), per axis. From a query sketch and a stored
+//! sketch the database computes an **admissible upper bound** on the
+//! §3/§4 similarity score in O(buckets²), without touching the O(mn)
+//! LCS. (Candidate prefiltering is exact and lives in the inverted
+//! [`ClassIndex`](crate::ClassIndex).)
 //!
 //! # The admissibility contract
 //!
@@ -47,81 +42,17 @@
 //! and dummy totals, so denominators are exact), and every
 //! normalisation/axis-combine option is monotone in the LCS length —
 //! so the score bound is admissible for every configuration, in `f64`
-//! arithmetic (same divisors, monotone rounding). The two-stage search
-//! relies on exactly this contract to stay bit-identical to the
-//! exhaustive scan; the full pipeline is documented in
+//! arithmetic (same divisors, monotone rounding). The bounded search
+//! relies on exactly this contract to stay bit-identical to direct
+//! scoring; the full pipeline is documented in
 //! `docs/ARCHITECTURE.md` (query lifecycle → stage-1 bound ranking).
 
 use be2d_core::{BeString, BeString2D, SimilarityConfig};
-use be2d_geometry::ObjectClass;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
-/// A Bloom-style one-bit-per-class signature of an image's class set.
-///
-/// # Example
-///
-/// ```
-/// use be2d_db::ClassSignature;
-/// use be2d_geometry::ObjectClass;
-///
-/// let mut a = ClassSignature::default();
-/// a.insert(&ObjectClass::new("car"));
-/// let mut q = ClassSignature::default();
-/// q.insert(&ObjectClass::new("car"));
-/// q.insert(&ObjectClass::new("tree"));
-/// assert!(a.shares_any(&q));
-/// assert!(!a.covers(&q), "image lacks tree (modulo collisions)");
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct ClassSignature(u64);
-
-impl ClassSignature {
-    /// Builds the signature of an iterator of classes.
-    #[must_use]
-    pub fn from_classes<'a, I: IntoIterator<Item = &'a ObjectClass>>(classes: I) -> Self {
-        let mut s = ClassSignature::default();
-        for c in classes {
-            s.insert(c);
-        }
-        s
-    }
-
-    /// Adds a class to the signature.
-    pub fn insert(&mut self, class: &ObjectClass) {
-        self.0 |= 1 << (fnv1a(class.name().bytes()) % 64);
-    }
-
-    /// Whether any query class bit also appears here (possible shared
-    /// class — may be a false positive, never a false negative).
-    #[must_use]
-    pub const fn shares_any(&self, query: &ClassSignature) -> bool {
-        query.0 == 0 || self.0 & query.0 != 0
-    }
-
-    /// Whether every query class bit appears here (superset check with
-    /// the same one-sided error).
-    #[must_use]
-    pub const fn covers(&self, query: &ClassSignature) -> bool {
-        self.0 & query.0 == query.0
-    }
-
-    /// The raw bits (for diagnostics).
-    #[must_use]
-    pub const fn bits(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for ClassSignature {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
-
 /// FNV-1a over a byte stream: deterministic across runs/platforms.
-fn fnv1a<I: IntoIterator<Item = u8>>(bytes: I) -> u64 {
+pub(crate) fn fnv1a<I: IntoIterator<Item = u8>>(bytes: I) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in bytes {
         h ^= u64::from(b);
@@ -129,10 +60,6 @@ fn fnv1a<I: IntoIterator<Item = u8>>(bytes: I) -> u64 {
     }
     h
 }
-
-// ---------------------------------------------------------------------------
-// Score-bound sketches (stage 1 of two-stage retrieval)
-// ---------------------------------------------------------------------------
 
 /// Buckets per axis in a [`ScoreSketch`] histogram. Distinct
 /// `(class, boundary)` symbols hashing to the same bucket merge their
@@ -428,7 +355,7 @@ impl QuerySketch {
 /// [`SimilarityConfig`](be2d_core::SimilarityConfig) never exceeds
 /// [`value()`](Self::value).
 ///
-/// Two-stage retrieval sorts candidates by this bound and stops scoring
+/// A bounded search sorts candidates by this bound and stops scoring
 /// once the k-th exact score strictly dominates every remaining bound —
 /// admissibility is what makes that early exit lossless.
 ///
@@ -576,65 +503,6 @@ mod tests {
     use be2d_core::{convert_scene, similarity_with, transformed, AxisCombine, Normalization};
     use be2d_geometry::{Scene, SceneBuilder, Transform};
 
-    fn class(n: &str) -> ObjectClass {
-        ObjectClass::new(n)
-    }
-
-    #[test]
-    fn insert_and_share() {
-        let a = ClassSignature::from_classes([&class("A"), &class("B")]);
-        let b = ClassSignature::from_classes([&class("B"), &class("C")]);
-        let c = ClassSignature::from_classes([&class("D")]);
-        assert!(a.shares_any(&b));
-        // D may collide with A/B under the 64-bit hash, but these names
-        // are chosen collision-free for the test
-        assert!(
-            !a.shares_any(&c) || ClassSignature::from_classes([&class("D")]).bits() & a.bits() != 0
-        );
-    }
-
-    #[test]
-    fn covers_is_superset() {
-        let image = ClassSignature::from_classes([&class("A"), &class("B"), &class("C")]);
-        let q1 = ClassSignature::from_classes([&class("A"), &class("C")]);
-        let q2 = ClassSignature::from_classes([&class("A"), &class("Z9")]);
-        assert!(image.covers(&q1));
-        // may only fail to reject on a hash collision; check directly
-        if !image.covers(&q2) {
-            assert!(q2.bits() & !image.bits() != 0);
-        }
-    }
-
-    #[test]
-    fn empty_query_matches_everything() {
-        let empty = ClassSignature::default();
-        let image = ClassSignature::from_classes([&class("A")]);
-        assert!(image.shares_any(&empty));
-        assert!(image.covers(&empty));
-        assert!(empty.covers(&empty));
-    }
-
-    #[test]
-    fn deterministic_and_displayable() {
-        let a = ClassSignature::from_classes([&class("house")]);
-        let b = ClassSignature::from_classes([&class("house")]);
-        assert_eq!(a, b);
-        assert_eq!(a.to_string().len(), 16);
-    }
-
-    #[test]
-    fn no_false_negatives_for_shared_class() {
-        // fundamental Bloom property: same class -> same bit
-        for name in ["A", "B", "tree", "car", "x1", "x2", "x3"] {
-            let img = ClassSignature::from_classes([&class(name)]);
-            let q = ClassSignature::from_classes([&class(name)]);
-            assert!(img.shares_any(&q), "{name}");
-            assert!(img.covers(&q), "{name}");
-        }
-    }
-
-    // ---- score-bound sketches ----
-
     fn all_configs() -> Vec<SimilarityConfig> {
         let mut out = Vec::new();
         for normalization in [
@@ -779,8 +647,8 @@ mod tests {
 
     #[test]
     fn many_classes_saturate_buckets_not_correctness() {
-        // 80 distinct classes — more than SKETCH_BUCKETS and more than
-        // the 64 signature bits — every bucket collides somewhere.
+        // 80 distinct classes — more than SKETCH_BUCKETS — every
+        // bucket collides somewhere.
         let mut b = SceneBuilder::new(2000, 2000);
         for i in 0..80i64 {
             let x = (i % 40) * 45;

@@ -4,13 +4,13 @@
 //! computes on the record's materialised 2D BE-string — score bits,
 //! chosen transform and the whole [`Similarity`] — and the ranking must
 //! be the reference ranking, across every similarity configuration,
-//! serial and threaded scoring, and exhaustive and two-stage retrieval.
+//! serial and threaded scoring, and direct and bounded retrieval.
 
 use be2d_core::{
     best_transform_similarity, convert_scene, AxisCombine, BeString2D, Normalization,
     SimilarityConfig,
 };
-use be2d_db::{ImageDatabase, Parallelism, PrefilterMode, QueryOptions, SearchHit};
+use be2d_db::{ImageDatabase, Parallelism, PrefilterMode, QueryOptions, ScoreThreshold, SearchHit};
 use be2d_geometry::{ObjectClass, Rect, Scene, Transform};
 
 const CLASSES: [&str; 5] = ["A", "B", "C", "D", "F"];
@@ -111,18 +111,16 @@ fn search_hits_are_bit_identical_to_best_transform_similarity() {
             };
             let all = reference(&db, &query, &base);
             for parallel in [Parallelism::Off, Parallelism::On] {
-                for two_stage in [None, Some(8)] {
-                    // a cut makes two-stage retrieval prune by bound
+                for bounded in [false, true] {
+                    // a cut makes bounded retrieval prune by bound
                     for top_k in [None, Some(7)] {
-                        let mut options = QueryOptions {
+                        let options = QueryOptions {
                             top_k,
                             parallel,
                             ..base.clone()
                         };
-                        if let Some(frontier) = two_stage {
-                            options = options.with_two_stage(frontier);
-                        }
-                        let got = db.search(&query, &options);
+                        let threshold = bounded.then(ScoreThreshold::new);
+                        let (got, _) = db.search_bounded(&query, &options, threshold.as_ref());
                         let want = &all[..top_k.unwrap_or(all.len())];
                         assert_eq!(got.len(), want.len(), "{options:?}");
                         for (g, w) in got.iter().zip(want) {

@@ -5,8 +5,9 @@
 //! collide with a restored record or reuse a pre-restore id). Retired
 //! v1–v3 layouts are always rejected cleanly.
 
-use be2d_db::{RecordId, ReplicatedImageDatabase};
-use be2d_geometry::{Scene, SceneBuilder};
+use be2d_core::convert_scene;
+use be2d_db::{ImageDatabase, QueryOptions, RecordId, ReplicatedImageDatabase, SearchHit};
+use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 use proptest::prelude::*;
 use serde::{Deserialize, Value};
 use std::path::{Path, PathBuf};
@@ -323,4 +324,118 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Whether any map in the tree has a `key` entry.
+fn has_key(v: &Value, key: &str) -> bool {
+    match v {
+        Value::Map(entries) => entries.iter().any(|(k, v)| k == key || has_key(v, key)),
+        Value::Seq(items) => items.iter().any(|v| has_key(v, key)),
+        _ => false,
+    }
+}
+
+/// The tree as a save from before candidates became exact wrote it:
+/// every record (a map holding `symbolic` and `sketch`) also carries
+/// its 64-bit Bloom class `signature`, just before the sketch.
+fn with_old_signatures(v: &Value) -> Value {
+    match v {
+        Value::Map(entries) => {
+            let is_record = ["symbolic", "sketch"]
+                .iter()
+                .all(|key| entries.iter().any(|(k, _)| k == key));
+            let mut out = Vec::with_capacity(entries.len() + 1);
+            for (k, v) in entries {
+                if is_record && k == "sketch" {
+                    out.push(("signature".to_owned(), Value::Int(0x8000_0000_0040_0001)));
+                }
+                out.push((k.clone(), with_old_signatures(v)));
+            }
+            Value::Map(out)
+        }
+        Value::Seq(items) => Value::Seq(items.iter().map(with_old_signatures).collect()),
+        other => other.clone(),
+    }
+}
+
+fn assert_same_ranking(expect: &[SearchHit], got: &[SearchHit], when: &str) {
+    assert_eq!(expect.len(), got.len(), "{when}");
+    for (a, b) in expect.iter().zip(got) {
+        assert_eq!(a.id, b.id, "{when}");
+        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{when}");
+    }
+}
+
+/// Snapshots written before records dropped their class signature still
+/// restore: the shard files of a v4 manifest and a plain
+/// `ImageDatabase` JSON whose records carry `signature` load to equal
+/// records and identical rankings. A fresh save writes no signature.
+#[test]
+fn snapshots_with_old_class_signatures_restore() {
+    let source = ReplicatedImageDatabase::with_topology(3, 1);
+    let mut single = ImageDatabase::new();
+    for i in 0..24 {
+        let name = format!("img-{i}");
+        assert_eq!(
+            source.insert_scene(&name, &scene(i)).unwrap(),
+            single.insert_scene(&name, &scene(i)).unwrap()
+        );
+    }
+    let extra = (ObjectClass::new("C"), Rect::new(60, 70, 60, 70).unwrap());
+    for id in [RecordId(2), RecordId(9)] {
+        source.add_object(id, &extra.0, extra.1).unwrap();
+        single.add_object(id, &extra.0, extra.1).unwrap();
+    }
+    source.remove(RecordId(5)).unwrap();
+    single.remove(RecordId(5)).unwrap();
+
+    let queries: Vec<_> = [scene(3), scene(11), scene(40)]
+        .iter()
+        .map(convert_scene)
+        .collect();
+    let options = [
+        QueryOptions::default(),
+        QueryOptions::serving().with_top_k(None),
+    ];
+    let rankings = |search: &dyn Fn(&be2d_core::BeString2D, &QueryOptions) -> Vec<SearchHit>,
+                    when: &str| {
+        for query in &queries {
+            for o in &options {
+                assert_same_ranking(&single.search(query, o), &search(query, o), when);
+            }
+        }
+    };
+
+    // Sharded: rewrite every shard file as an old save wrote it.
+    let dir = fresh_dir();
+    let path = dir.join("m.json");
+    source.save_snapshot(&path).unwrap();
+    for file in parse_fields(&path).files {
+        let shard_path = dir.join(file);
+        let value: Value =
+            serde_json::from_str(&std::fs::read_to_string(&shard_path).unwrap()).unwrap();
+        assert!(!has_key(&value, "signature"), "fresh shard file");
+        let old = with_old_signatures(&value);
+        assert!(has_key(&old, "signature"));
+        std::fs::write(&shard_path, serde_json::to_string(&old).unwrap()).unwrap();
+    }
+    let restored = ReplicatedImageDatabase::with_topology(2, 2);
+    assert_eq!(restored.restore_from(&path).unwrap(), single.len());
+    for record in single.iter() {
+        assert_eq!(restored.get(record.id).unwrap().as_ref(), Some(record));
+    }
+    rankings(
+        &|q, o| restored.search_traced(q, o).unwrap().0,
+        "restored shards",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Plain JSON save.
+    let json = single.to_json().unwrap();
+    let value: Value = serde_json::from_str(&json).unwrap();
+    assert!(!has_key(&value, "signature"), "fresh JSON save");
+    let old = serde_json::to_string(&with_old_signatures(&value)).unwrap();
+    let back = ImageDatabase::from_json(&old).unwrap();
+    assert_eq!(back, single);
+    rankings(&|q, o| back.search(q, o), "restored JSON");
 }

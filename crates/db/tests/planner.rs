@@ -7,8 +7,8 @@
 
 use be2d_core::convert_scene;
 use be2d_db::{
-    CandidateSource, CandidateStrategy, ImageDatabase, PrefilterMode, QueryOptions, RecordId,
-    ReplicaConfig, ReplicatedImageDatabase, ReplicationMode, Resharder, SearchHit,
+    CandidateStrategy, ImageDatabase, PrefilterMode, QueryOptions, RecordId, ReplicaConfig,
+    ReplicatedImageDatabase, ReplicationMode, Resharder, SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -29,7 +29,6 @@ fn base_scene(x: i64) -> Scene {
 fn all_classes_options() -> QueryOptions {
     QueryOptions {
         prefilter: PrefilterMode::AllClasses,
-        candidates: CandidateSource::ClassIndex,
         top_k: None,
         ..QueryOptions::default()
     }
@@ -75,13 +74,17 @@ fn planner_skipped_tracks_posting_changes_exactly() {
     assert!(search(&db, &query, &options).is_empty());
     assert_eq!(db.planner_skipped(), 4 + 3 + 2 + 4);
 
-    // Scan-mode candidates are never pruned.
-    let scan = QueryOptions {
-        candidates: CandidateSource::Scan,
+    // Without a prefilter every record is a candidate: never pruned.
+    let unfiltered = QueryOptions {
+        prefilter: PrefilterMode::None,
         ..all_classes_options()
     };
-    let _ = search(&db, &query, &scan);
-    assert_eq!(db.planner_skipped(), 13, "scan mode must not skip");
+    let _ = search(&db, &query, &unfiltered);
+    assert_eq!(
+        db.planner_skipped(),
+        13,
+        "an unfiltered search must not skip"
+    );
 }
 
 /// The race the prune must survive: a writer toggles class Q on one
@@ -263,12 +266,12 @@ fn planner_queries() -> Vec<Scene> {
 }
 
 /// The option battery: every combination the planner treats
-/// differently — index walk vs scan candidates, any/all prefilter,
-/// exhaustive vs two-stage, unbounded vs top-k.
+/// differently — index path vs every record, any/all prefilter, and
+/// unbounded vs top-k (a multi-shard top-k search is bounded, anything
+/// else scores directly).
 fn option_battery() -> Vec<(&'static str, QueryOptions)> {
     let index_all = QueryOptions {
         prefilter: PrefilterMode::AllClasses,
-        candidates: CandidateSource::ClassIndex,
         top_k: None,
         ..QueryOptions::default()
     };
@@ -284,21 +287,19 @@ fn option_battery() -> Vec<(&'static str, QueryOptions)> {
             },
         ),
         (
-            "index-all-two-stage",
+            "index-all-topk",
             QueryOptions {
                 top_k: Some(8),
                 ..index_all.clone()
-            }
-            .with_two_stage(4),
+            },
         ),
         (
-            "scan-all-two-stage",
+            "unfiltered-topk",
             QueryOptions {
-                candidates: CandidateSource::Scan,
+                prefilter: PrefilterMode::None,
                 top_k: Some(6),
                 ..index_all.clone()
-            }
-            .with_two_stage(8),
+            },
         ),
         ("serving", QueryOptions::serving()),
     ]
@@ -365,7 +366,8 @@ fn stays_bit_identical_to_single_database_mid_reshard() {
 }
 
 /// The ordered scatter engages exactly when a cross-shard threshold
-/// exists, and the trace exposes the plan: a permutation of visit
+/// exists (a multi-shard search with a `top_k`), and the trace exposes
+/// the plan: a permutation of visit
 /// positions, one sequenced first wave on the most selective shard,
 /// and selectivity estimates.
 #[test]
@@ -375,11 +377,9 @@ fn ordered_scatter_engages_and_traces_the_plan() {
     let query = &planner_queries()[2]; // H + R: selectivity differs per shard
     let staged = QueryOptions {
         prefilter: PrefilterMode::AllClasses,
-        candidates: CandidateSource::ClassIndex,
         top_k: Some(5),
         ..QueryOptions::default()
-    }
-    .with_two_stage(4);
+    };
 
     let before = db.metrics().planner_ordered_scatters.get();
     let (_, trace) = db.search_traced(&convert_scene(query), &staged).unwrap();
@@ -413,8 +413,7 @@ fn ordered_scatter_engages_and_traces_the_plan() {
         "first wave = most selective shard that can seed the threshold"
     );
 
-    // No threshold (exhaustive search) => nothing to tighten, no
-    // ordering.
+    // No top_k => no threshold, nothing to tighten, no ordering.
     let (_, trace) = db
         .search_traced(&convert_scene(query), &option_battery()[1].1)
         .unwrap();
@@ -431,7 +430,6 @@ fn dense_scan_strategy_engages_on_dense_postings_only() {
         fill_skewed(&db, 42);
         let options = QueryOptions {
             prefilter: PrefilterMode::AllClasses,
-            candidates: CandidateSource::ClassIndex,
             top_k: Some(10),
             ..QueryOptions::default()
         };
@@ -493,7 +491,6 @@ fn async_bounded_reads_stay_exact_during_live_reshard() {
 
     let options = QueryOptions {
         prefilter: PrefilterMode::AllClasses,
-        candidates: CandidateSource::ClassIndex,
         top_k: None,
         ..QueryOptions::default()
     };

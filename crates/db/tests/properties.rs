@@ -2,7 +2,7 @@
 //! sequences must keep every access path consistent.
 
 use be2d_core::SymbolicImage;
-use be2d_db::{CandidateSource, ImageDatabase, PrefilterMode, QueryOptions, RecordId};
+use be2d_db::{ImageDatabase, PrefilterMode, QueryOptions, RecordId};
 use be2d_geometry::{ObjectClass, Rect, Scene};
 use proptest::prelude::*;
 
@@ -132,36 +132,53 @@ proptest! {
             prop_assert_eq!(db.len(), model.live.len());
         }
 
-        // final: scan and index search paths agree for a class query
+        // final: the index's candidates are exact for a class query —
+        // a prefiltered search is the unfiltered ranking restricted to
+        // the records holding every (any) query class
         let query = {
             let mut s = Scene::new(FRAME, FRAME).expect("frame");
             s.add(ObjectClass::new("A"), Rect::new(0, 10, 0, 10).expect("rect"))
                 .expect("fits");
+            s.add(ObjectClass::new("C"), Rect::new(20, 30, 0, 10).expect("rect"))
+                .expect("fits");
             s
         };
-        for prefilter in [PrefilterMode::AnyClass, PrefilterMode::AllClasses] {
-            let scan = db.search_scene(
+        let search = |prefilter| {
+            db.search_scene(
                 &query,
                 &QueryOptions {
                     prefilter,
-                    candidates: CandidateSource::Scan,
                     top_k: None,
                     ..QueryOptions::default()
                 },
-            );
-            let index = db.search_scene(
-                &query,
-                &QueryOptions {
-                    prefilter,
-                    candidates: CandidateSource::ClassIndex,
-                    top_k: None,
-                    ..QueryOptions::default()
-                },
-            );
-            prop_assert_eq!(scan.len(), index.len());
-            for (a, b) in scan.iter().zip(&index) {
+            )
+        };
+        let unfiltered = search(PrefilterMode::None);
+        prop_assert_eq!(unfiltered.len(), db.len());
+        for (prefilter, all) in [
+            (PrefilterMode::AnyClass, false),
+            (PrefilterMode::AllClasses, true),
+        ] {
+            let expect: Vec<_> = unfiltered
+                .iter()
+                .filter(|h| {
+                    let record = db.get(h.id).expect("live hit");
+                    let classes = record.symbolic.to_be_string_2d().class_counts();
+                    let mut member = ["A", "C"]
+                        .iter()
+                        .map(|c| classes.contains_key(&ObjectClass::new(c)));
+                    if all {
+                        member.all(|m| m)
+                    } else {
+                        member.any(|m| m)
+                    }
+                })
+                .collect();
+            let got = search(prefilter);
+            prop_assert_eq!(got.len(), expect.len());
+            for (a, b) in got.iter().zip(expect) {
                 prop_assert_eq!(a.id, b.id);
-                prop_assert!((a.score - b.score).abs() < 1e-12);
+                prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
         }
 

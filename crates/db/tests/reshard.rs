@@ -12,10 +12,25 @@ use be2d_db::{
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// A scene query through the database's one search call.
 fn search(db: &ReplicatedImageDatabase, query: &Scene, options: &QueryOptions) -> Vec<SearchHit> {
     db.search_traced(&convert_scene(query), options).unwrap().0
+}
+
+/// Spins until `done()` holds, however the threads are scheduled. After
+/// 30 s it raises `stop`, so every polling thread winds down, and fails
+/// loudly instead of hanging.
+fn wait_for(what: &str, stop: &AtomicBool, done: impl Fn() -> bool) {
+    let guard = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        if Instant::now() > guard {
+            stop.store(true, Ordering::SeqCst);
+            panic!("waited 30 s for {what}");
+        }
+        std::thread::yield_now();
+    }
 }
 
 fn scene(x: i64) -> Scene {
@@ -209,13 +224,9 @@ fn mid_migration_rankings_match_reference_under_concurrent_writes() {
                     // next batch, so edits genuinely interleave with
                     // every stage of the migration.
                     let target_edits = writer.edits.load(Ordering::Relaxed) + 2;
-                    let deadline =
-                        std::time::Instant::now() + std::time::Duration::from_millis(200);
-                    while writer.edits.load(Ordering::Relaxed) < target_edits
-                        && std::time::Instant::now() < deadline
-                    {
-                        std::thread::yield_now();
-                    }
+                    wait_for("two writer edits", &writer.stop, || {
+                        writer.edits.load(Ordering::Relaxed) >= target_edits
+                    });
                     checkpoints += 1;
                 })
                 .unwrap();
@@ -360,11 +371,9 @@ fn concurrent_searches_stay_consistent_through_grow_and_shrink() {
         // overlaps every stage of both migrations.
         let wait_for_a_search = |_: &be2d_db::ReshardProgress| {
             let target = searches.load(Ordering::Relaxed) + 1;
-            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
-            while searches.load(Ordering::Relaxed) < target && std::time::Instant::now() < deadline
-            {
-                std::thread::yield_now();
-            }
+            wait_for("a search", &stop, || {
+                searches.load(Ordering::Relaxed) >= target
+            });
         };
         Resharder::new(&db)
             .batch_ids(11)

@@ -7,8 +7,8 @@
 
 use be2d_core::convert_scene;
 use be2d_db::{
-    CandidateSource, ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId,
-    ReplicatedImageDatabase, SearchHit,
+    ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId, ReplicatedImageDatabase,
+    SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 
@@ -85,7 +85,7 @@ fn build_pair(scenes: &[Scene], shards: usize) -> (ImageDatabase, ReplicatedImag
         assert_eq!(a, b, "id assignment must match the single-shard path");
     }
     // A few removals and §3.2 edits keep dead slots and refreshed
-    // signatures in the picture.
+    // sketches and postings in the picture.
     for i in [3usize, 11, 17] {
         if i < scenes.len() {
             single.remove(RecordId(i)).unwrap();
@@ -123,7 +123,6 @@ fn option_variants() -> Vec<(&'static str, QueryOptions)> {
             QueryOptions {
                 top_k: None,
                 prefilter: PrefilterMode::AllClasses,
-                candidates: CandidateSource::ClassIndex,
                 ..QueryOptions::default()
             },
         ),

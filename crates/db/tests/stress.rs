@@ -9,7 +9,8 @@ use be2d_db::{
     SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn scene(x: i64, extra: bool) -> Scene {
     let mut b = SceneBuilder::new(200, 200)
@@ -71,13 +72,15 @@ fn mixed_readers_and_writers_stay_consistent() {
             .expect("seed insert");
     }
     let stop = AtomicBool::new(false);
+    // Searchers that have completed at least one search.
+    let searched = AtomicUsize::new(0);
 
     std::thread::scope(|s| {
         // --- searchers: three different option shapes, including the
         // threaded scan, all validating every result set they see.
         for worker in 0..3 {
             let db = db.clone();
-            let stop = &stop;
+            let (stop, searched) = (&stop, &searched);
             s.spawn(move || {
                 let options = match worker {
                     0 => QueryOptions::default(),
@@ -95,6 +98,9 @@ fn mixed_readers_and_writers_stay_consistent() {
                     let hits = search(&db, &query, &options);
                     check_consistent(&hits, &options);
                     searches += 1;
+                    if searches == 1 {
+                        searched.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
                 assert!(searches > 0, "searcher made progress");
             });
@@ -118,7 +124,7 @@ fn mixed_readers_and_writers_stay_consistent() {
         }
 
         // --- inserter/remover: grows the db, trims its own inserts.
-        {
+        let inserter = {
             let db = db.clone();
             s.spawn(move || {
                 let mut mine = Vec::new();
@@ -132,11 +138,11 @@ fn mixed_readers_and_writers_stay_consistent() {
                         db.remove(victim).expect("remove own insert");
                     }
                 }
-            });
-        }
+            })
+        };
 
         // --- object editor: §3.2 add/remove on the stable seed rows.
-        {
+        let editor = {
             let db = db.clone();
             s.spawn(move || {
                 let class = ObjectClass::new("X");
@@ -146,13 +152,24 @@ fn mixed_readers_and_writers_stay_consistent() {
                     db.add_object(id, &class, mbr).expect("add to seed record");
                     db.remove_object(id, &class, mbr).expect("remove again");
                 }
-            });
-        }
+            })
+        };
 
         // Writers finish on their own; searchers poll until told to stop.
-        // The scope guarantees the writers above completed before this
-        // sleep ends only if they are fast — so give them a real window.
-        std::thread::sleep(std::time::Duration::from_millis(400));
+        // Stop only once every searcher has searched and both writers are
+        // done, so searches race the whole write schedule however the
+        // threads are scheduled; after 30 s, fail loudly instead.
+        let guard = Instant::now() + Duration::from_secs(30);
+        while searched.load(Ordering::SeqCst) < 3
+            || !inserter.is_finished()
+            || !editor.is_finished()
+        {
+            if Instant::now() > guard {
+                stop.store(true, Ordering::SeqCst);
+                panic!("waited 30 s for the searchers and writers");
+            }
+            std::thread::yield_now();
+        }
         stop.store(true, Ordering::Relaxed);
     });
 

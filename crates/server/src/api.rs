@@ -9,10 +9,7 @@
 
 use crate::http::Response;
 use be2d_core::SymbolicImage;
-use be2d_db::{
-    CandidateSource, DbError, Parallelism, PrefilterMode, QueryOptions, QueryTrace, SearchHit,
-    TwoStage,
-};
+use be2d_db::{DbError, Parallelism, PrefilterMode, QueryOptions, QueryTrace, SearchHit, TwoStage};
 use be2d_geometry::{ObjectClass, Rect, Scene, Transform};
 use serde::{Deserialize, Serialize, Value};
 
@@ -471,11 +468,14 @@ impl ReshardRequest {
 ///
 /// Every field is optional:
 /// `{"top_k": 5, "min_score": 0.2, "prefilter": "any-class",
-///   "candidates": "class-index", "transforms": "paper-set",
-///   "parallel": "auto", "two_stage": 64}`.
+///   "transforms": "paper-set", "parallel": "auto"}`.
 ///
-/// `two_stage` accepts `true` (default frontier), an integer frontier
-/// size (`>= 1`), or `null`/`false` to force exhaustive scoring.
+/// `candidates` (`"scan"` | `"class-index"`) and `two_stage` (`true`,
+/// an integer `>= 1`, `false` or `null`) are checked and otherwise
+/// ignored: candidates always come from the exact class index, and each
+/// search decides for itself whether to rank them by score bound (a
+/// multi-shard search with a `top_k` does). Rankings are the same
+/// either way. `two_stage` is still recorded in the options.
 ///
 /// # Errors
 ///
@@ -513,17 +513,14 @@ pub fn options_from_value(
                     }
                 }
             }
-            "candidates" => {
-                options.candidates = match as_str(value, "options.candidates")? {
-                    "scan" => CandidateSource::Scan,
-                    "class-index" => CandidateSource::ClassIndex,
-                    other => {
-                        return Err(ApiError::bad(format!(
-                            "unknown candidate source {other:?} (scan | class-index)"
-                        )))
-                    }
+            "candidates" => match as_str(value, "options.candidates")? {
+                "scan" | "class-index" => {}
+                other => {
+                    return Err(ApiError::bad(format!(
+                        "unknown candidate source {other:?} (scan | class-index)"
+                    )))
                 }
-            }
+            },
             "parallel" => {
                 options.parallel = match value {
                     Value::Bool(b) => Parallelism::from(*b),
@@ -549,13 +546,13 @@ pub fn options_from_value(
             "two_stage" => {
                 options.two_stage = match value {
                     Value::Null | Value::Bool(false) => None,
-                    Value::Bool(true) => Some(TwoStage::default()),
+                    Value::Bool(true) => Some(TwoStage {}),
                     v => {
-                        let frontier = usize::try_from(as_i64(v, "options.two_stage")?)
+                        usize::try_from(as_i64(v, "options.two_stage")?)
                             .ok()
                             .filter(|&n| n >= 1)
                             .ok_or_else(|| ApiError::bad("options.two_stage must be >= 1"))?;
-                        Some(TwoStage { frontier })
+                        Some(TwoStage {})
                     }
                 }
             }
@@ -669,7 +666,7 @@ pub struct ShardTraceDto {
     pub hits: usize,
     /// Candidates the shard exactly scored (stage-2 survivors).
     pub scored: usize,
-    /// Candidates two-stage retrieval pruned by admissible bound.
+    /// Candidates the shard's bounded scan pruned by admissible bound.
     pub bound_pruned: usize,
     /// Scan duration in milliseconds.
     pub elapsed_ms: f64,
@@ -1248,9 +1245,21 @@ mod tests {
         assert_eq!(opts.top_k, Some(3));
         assert!((opts.min_score - 0.5).abs() < 1e-12);
         assert_eq!(opts.prefilter, PrefilterMode::AllClasses);
-        assert_eq!(opts.candidates, CandidateSource::Scan);
         assert_eq!(opts.parallel, Parallelism::Off);
         assert_eq!(opts.transforms.len(), 6);
+        // accepted and ignored: nothing else changed
+        let ignored = options_from_value(
+            Some(&val(r#"{"candidates":"class-index","two_stage":4}"#)),
+            &defaults,
+        )
+        .unwrap();
+        assert_eq!(
+            ignored,
+            QueryOptions {
+                two_stage: Some(TwoStage {}),
+                ..defaults.clone()
+            }
+        );
 
         // null top_k = unlimited; explicit transform list; bool parallel
         let opts = options_from_value(

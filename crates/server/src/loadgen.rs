@@ -195,7 +195,7 @@ pub struct MetricsDelta {
     pub responses_4xx: u64,
     /// 5xx responses during the run.
     pub responses_5xx: u64,
-    /// Candidates two-stage retrieval pruned by score bound.
+    /// Candidates bounded searches pruned by score bound.
     pub bound_pruned: u64,
     /// Shards the scatter planner proved empty and skipped.
     pub planner_skipped: u64,

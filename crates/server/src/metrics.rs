@@ -250,7 +250,7 @@ pub(crate) fn build_registry(
     );
     registry.register_counter(
         "be2d_db_stage2_scored_total",
-        "Candidates exactly scored (stage-2 survivors of two-stage retrieval)",
+        "Candidates exactly scored (stage-2 survivors of bounded retrieval)",
         &[],
         Arc::clone(&m.stage2_scored),
     );

@@ -265,6 +265,62 @@ fn error_statuses_over_the_wire() {
     server.stop();
 }
 
+/// The retired execution switches stay on the wire: `two_stage` and
+/// `candidates` are accepted, checked and ignored, so every accepted
+/// value returns the same hits, and a malformed one still earns the 400
+/// envelope.
+#[test]
+fn retired_execution_options_are_accepted_and_ignored() {
+    let server = RunningServer::start(ServerConfig {
+        shards: 2,
+        ..test_config()
+    });
+    let mut client = server.client();
+    for i in 0..16 {
+        let (x, y) = ((i * 7) % 60, (i * 13) % 50);
+        let body = format!(
+            r#"{{"name":"img-{i}","scene":{{"width":100,"height":100,"objects":[
+                {{"class":"A","mbr":[{x},{},{y},{}]}},{{"class":"B","mbr":[60,85,40,60]}}]}}}}"#,
+            x + 12,
+            y + 9
+        );
+        let response = client.request("POST", "/v1/images", &body).unwrap();
+        assert_eq!(response.status, 201, "{}", response.text());
+    }
+    let search = |client: &mut Client, extra: &str| {
+        let body = format!(r#"{{"scene":{LEFT_SCENE},"options":{{"top_k":5{extra}}}}}"#);
+        client.request("POST", "/v1/search", &body).unwrap()
+    };
+    let baseline = search(&mut client, "");
+    assert_eq!(baseline.status, 200, "{}", baseline.text());
+    assert!(baseline.text().contains("\"img-"), "{}", baseline.text());
+    for two_stage in [
+        "",
+        r#","two_stage":true"#,
+        r#","two_stage":4"#,
+        r#","two_stage":false"#,
+        r#","two_stage":null"#,
+    ] {
+        for candidates in [
+            "",
+            r#","candidates":"scan""#,
+            r#","candidates":"class-index""#,
+        ] {
+            let response = search(&mut client, &format!("{two_stage}{candidates}"));
+            assert_eq!(response.status, 200, "{two_stage}{candidates}");
+            assert_eq!(response.text(), baseline.text(), "{two_stage}{candidates}");
+        }
+    }
+    for bad in [r#","two_stage":0"#, r#","candidates":"bogus""#] {
+        let response = search(&mut client, bad);
+        assert_eq!(response.status, 400, "{bad}: {}", response.text());
+        assert!(response.text().contains("\"error\""), "{}", response.text());
+    }
+
+    drop(client);
+    server.stop();
+}
+
 #[test]
 fn stats_reflect_traffic_and_health_is_cheap() {
     let server = RunningServer::start(test_config());
