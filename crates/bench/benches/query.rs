@@ -35,14 +35,12 @@ fn bench_query(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300));
     for images in [100usize, 1_000, 5_000] {
         let (db, queries) = build(images);
-        for (label, prefilter, parallel) in [
-            ("serial-nofilter", PrefilterMode::None, false),
-            ("serial-anyclass", PrefilterMode::AnyClass, false),
-            ("parallel-anyclass", PrefilterMode::AnyClass, true),
+        for (label, prefilter) in [
+            ("nofilter", PrefilterMode::None),
+            ("anyclass", PrefilterMode::AnyClass),
         ] {
             let options = QueryOptions {
                 prefilter,
-                parallel: parallel.into(),
                 top_k: Some(10),
                 ..QueryOptions::default()
             };

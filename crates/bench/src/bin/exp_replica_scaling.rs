@@ -29,7 +29,7 @@
 
 use be2d_bench::standard_config;
 use be2d_core::convert_scene;
-use be2d_db::{Parallelism, QueryOptions, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode};
+use be2d_db::{QueryOptions, ReplicaConfig, ReplicatedImageDatabase, ReplicationMode};
 use be2d_workload::metrics::percentile;
 use be2d_workload::{derive_queries, Corpus, CorpusConfig, QueryKind, SceneConfig};
 use std::io::Write as _;
@@ -199,8 +199,7 @@ fn run_point(
     // reader concurrency across replicas plus the cross-shard scatter.
     let options = QueryOptions {
         top_k: Some(10),
-        parallel: Parallelism::Off,
-        ..QueryOptions::serving()
+        ..QueryOptions::default()
     };
 
     // Warm-up outside the timed window.

@@ -20,7 +20,7 @@
 
 use be2d_bench::standard_config;
 use be2d_core::convert_scene;
-use be2d_db::{Parallelism, QueryOptions, ReplicatedImageDatabase, Resharder};
+use be2d_db::{QueryOptions, ReplicatedImageDatabase, Resharder};
 use be2d_workload::metrics::percentile;
 use be2d_workload::{derive_queries, Corpus, CorpusConfig, QueryKind, SceneConfig};
 use std::io::Write as _;
@@ -164,8 +164,7 @@ fn run_point(config: &Config, corpus: &Corpus, batch: usize) -> SweepPoint {
     let queries = derive_queries(corpus, &[QueryKind::DropObjects { keep: 4 }], 24, 13);
     let options = QueryOptions {
         top_k: Some(10),
-        parallel: Parallelism::Off,
-        ..QueryOptions::serving()
+        ..QueryOptions::default()
     };
     for query in queries.iter().take(4) {
         std::hint::black_box(

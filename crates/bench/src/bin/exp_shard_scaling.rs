@@ -26,7 +26,7 @@
 
 use be2d_bench::standard_config;
 use be2d_core::convert_scene;
-use be2d_db::{Parallelism, QueryOptions, ReplicatedImageDatabase};
+use be2d_db::{QueryOptions, ReplicatedImageDatabase};
 use be2d_workload::metrics::percentile;
 use be2d_workload::{derive_queries, Corpus, CorpusConfig, QueryKind, SceneConfig};
 use std::io::Write as _;
@@ -165,8 +165,7 @@ fn run_point(config: &Config, corpus: &Corpus, shards: usize) -> SweepPoint {
     // reader concurrency plus the cross-shard scatter itself.
     let options = QueryOptions {
         top_k: Some(10),
-        parallel: Parallelism::Off,
-        ..QueryOptions::serving()
+        ..QueryOptions::default()
     };
 
     // Warm-up outside the timed window.

@@ -1,6 +1,5 @@
 //! E7 — end-to-end indexing and query throughput ("the similarity can be
-//! evaluated in a reasonable time", §4), with the prefilter and parallel
-//! scan ablations.
+//! evaluated in a reasonable time", §4), with the prefilter ablation.
 
 use be2d_bench::{fmt_duration, median_time, table_row};
 use be2d_db::{ImageDatabase, PrefilterMode, QueryOptions};
@@ -52,15 +51,13 @@ fn main() {
                 &widths
             )
         );
-        for (label, prefilter, parallel) in [
-            ("serial, no prefilter", PrefilterMode::None, false),
-            ("serial, any-class", PrefilterMode::AnyClass, false),
-            ("serial, all-classes", PrefilterMode::AllClasses, false),
-            ("parallel, any-class", PrefilterMode::AnyClass, true),
+        for (label, prefilter) in [
+            ("no prefilter", PrefilterMode::None),
+            ("any-class", PrefilterMode::AnyClass),
+            ("all-classes", PrefilterMode::AllClasses),
         ] {
             let options = QueryOptions {
                 prefilter,
-                parallel: parallel.into(),
                 top_k: Some(10),
                 ..QueryOptions::default()
             };
@@ -96,6 +93,6 @@ fn main() {
         println!();
     }
     println!("O(mn) per candidate keeps even the 10k-image scan interactive; the");
-    println!("class-signature prefilter multiplies throughput by its selectivity.");
-    println!("(The parallel scan only helps on multi-core hosts.)");
+    println!("class-index prefilter multiplies throughput by its selectivity;");
+    println!("a scan of 192 or more candidates is split across the host's threads.");
 }

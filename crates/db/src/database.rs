@@ -1,5 +1,6 @@
 //! The image database proper.
 
+use crate::scatter::fan_out;
 use crate::{
     CandidateStrategy, ClassIndex, DbError, PrefilterMode, QueryOptions, QuerySketch, ScoreSketch,
     SearchHit,
@@ -424,7 +425,9 @@ impl ImageDatabase {
     /// modified-LCS similarity for each transform in
     /// `options.transforms`; results are ranked by score (ties broken by
     /// id for determinism), floored at `min_score` and truncated to
-    /// `top_k`.
+    /// `top_k`. A batch of at least 192 candidates is scored in chunks
+    /// on helper threads, one per core; the hits are identical either
+    /// way.
     #[must_use]
     pub fn search(&self, query: &BeString2D, options: &QueryOptions) -> Vec<SearchHit> {
         self.search_bounded(query, options, None).0
@@ -536,33 +539,22 @@ impl ImageDatabase {
                 .collect::<Vec<_>>()
         };
 
-        // Exact scoring of one batch, reusing the parallelism policy
-        // per batch (the whole candidate set IS the batch in the
-        // direct path). The calling thread scores the first chunk
-        // itself and spawns helpers only for the rest: one thread per
-        // chunk, instead of `threads` helpers plus a caller idling in
-        // `join` while they compete for the same cores.
+        // Exact scoring of one batch (the whole candidate set IS the
+        // batch in the direct path). A large batch is split into at most
+        // one chunk per core, each a whole number of LANES groups.
         let mut scratch = ScoreScratch::default();
         let mut score_batch = |batch: &[&'db ImageRecord]| -> Vec<Scored<'db>> {
-            if options.parallel.enabled_for(batch.len()) {
+            if batch.len() >= SPLIT_MIN_CANDIDATES {
                 let threads = std::thread::available_parallelism()
                     .map_or(1, |n| n.get())
                     .min(16);
                 let chunk = batch.len().div_ceil(threads).next_multiple_of(LANES);
-                let mut parts = batch.chunks(chunk);
-                let head = parts.next().unwrap_or_default();
-                std::thread::scope(|scope| {
-                    let helpers: Vec<_> = parts
-                        .map(|part| {
-                            scope.spawn(move || score_part(part, &mut ScoreScratch::default()))
-                        })
-                        .collect();
-                    let mut scored = score_part(head, &mut scratch);
-                    for helper in helpers {
-                        scored.extend(helper.join().expect("scorer panicked"));
-                    }
-                    scored
+                fan_out(batch.chunks(chunk), |part| {
+                    score_part(part, &mut ScoreScratch::default())
                 })
+                .into_iter()
+                .flatten()
+                .collect()
             } else {
                 score_part(batch, &mut scratch)
             }
@@ -734,6 +726,11 @@ impl ImageDatabase {
 /// enough to amortise a batch's bookkeeping, small enough that
 /// selective queries stop after one or two batches.
 const FRONTIER: usize = 64;
+
+/// A scoring batch of at least this many candidates is split across
+/// threads; below it, thread spawns would dominate the scoring work.
+/// [`FRONTIER`] batches stay below it, so a bounded scan scores serially.
+const SPLIT_MIN_CANDIDATES: usize = 192;
 
 /// Bound ranking + frontier loop of a bounded search.
 ///
@@ -918,7 +915,6 @@ impl ImageDatabase {
 #[allow(clippy::type_complexity)] // terse MBR tuples keep test fixtures readable
 mod tests {
     use super::*;
-    use crate::Parallelism;
     use be2d_geometry::SceneBuilder;
 
     fn scene(objs: &[(&str, (i64, i64, i64, i64))]) -> Scene {
@@ -1114,69 +1110,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
+    fn split_scan_matches_per_record_similarity() {
+        // Past SPLIT_MIN_CANDIDATES with the no-prefilter scan, so the
+        // batch is scored in chunks on helper threads.
         let mut db = ImageDatabase::new();
-        for i in 0..64i64 {
-            let s = scene(&[
-                ("A", (i % 10, i % 10 + 20, 0, 30)),
-                ("B", (40, 80, i % 20 + 5, i % 20 + 40)),
-            ]);
-            db.insert_scene(&format!("img{i}"), &s).unwrap();
-        }
-        let query = scene(&[("A", (5, 25, 0, 30)), ("B", (40, 80, 10, 45))]);
-        let serial = db.search_scene(
-            &query,
-            &QueryOptions {
-                parallel: Parallelism::Off,
-                top_k: None,
-                ..Default::default()
-            },
-        );
-        let parallel = db.search_scene(
-            &query,
-            &QueryOptions {
-                parallel: Parallelism::On,
-                top_k: None,
-                ..Default::default()
-            },
-        );
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.id, p.id);
-            assert!((s.score - p.score).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn auto_parallel_agrees_with_serial() {
-        // Enough records to cross Parallelism::AUTO_THRESHOLD with the
-        // no-prefilter scan, so Auto actually takes the threaded path.
-        let mut db = ImageDatabase::new();
-        for i in 0..(Parallelism::AUTO_THRESHOLD as i64 + 16) {
+        for i in 0..(SPLIT_MIN_CANDIDATES as i64 + 11) {
             let s = scene(&[
                 ("A", (i % 11, i % 11 + 15, 0, 25)),
                 ("B", (40, 80, i % 17 + 5, i % 17 + 40)),
             ]);
             db.insert_scene(&format!("img{i}"), &s).unwrap();
         }
-        let query = scene(&[("A", (5, 20, 0, 25)), ("B", (40, 80, 10, 45))]);
-        let base = QueryOptions {
+        let query =
+            be2d_core::convert_scene(&scene(&[("A", (5, 20, 0, 25)), ("B", (40, 80, 10, 45))]));
+        let options = QueryOptions {
             prefilter: PrefilterMode::None,
             top_k: None,
             ..Default::default()
         };
-        let serial = db.search_scene(&query, &base);
-        let auto = db.search_scene(
-            &query,
-            &QueryOptions {
-                parallel: Parallelism::Auto,
-                ..base
-            },
-        );
-        assert_eq!(serial.len(), auto.len());
-        for (s, p) in serial.iter().zip(&auto) {
-            assert_eq!(s.id, p.id);
-            assert!((s.score - p.score).abs() < 1e-12);
+        let (hits, stats) = db.search_bounded(&query, &options, None);
+        assert!(stats.candidates >= SPLIT_MIN_CANDIDATES);
+        let mut want: Vec<(RecordId, f64)> = db
+            .iter()
+            .map(|r| {
+                (
+                    r.id,
+                    db.similarity_to(&query, r.id, &options).unwrap().score,
+                )
+            })
+            .collect();
+        want.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        assert_eq!(hits.len(), want.len());
+        for (hit, (id, score)) in hits.iter().zip(&want) {
+            assert_eq!(hit.id, *id);
+            assert_eq!(hit.score.to_bits(), score.to_bits());
         }
     }
 

@@ -9,11 +9,12 @@
 //! * [`ImageDatabase`] — insert/remove images, add/drop single objects in
 //!   place (§3.2), ranked [`search`](ImageDatabase::search);
 //! * [`QueryOptions`] — what to retrieve: top-k, score floor, class
-//!   prefilter (answered exactly by the inverted [`ClassIndex`]), D4
-//!   transform set and parallel scan. How is the database's own
-//!   choice: a multi-shard top-k search ranks candidates by an
-//!   admissible [`ScoreBound`], exact-scores a frontier and stops
-//!   early, with bit-identical results;
+//!   prefilter (answered exactly by the inverted [`ClassIndex`]) and D4
+//!   transform set. How is the database's own choice: a large
+//!   candidate batch is scored on helper threads, and a multi-shard
+//!   top-k search ranks candidates by an admissible [`ScoreBound`],
+//!   exact-scores a frontier and stops early, with bit-identical
+//!   results;
 //! * [`SearchHit`] — per-result score, best transform and the full
 //!   per-axis similarity breakdown;
 //! * [`ReplicatedImageDatabase`] — N independently locked shards × R
@@ -85,7 +86,7 @@ pub use oplog::{
     OplogStats, ReplicaLag, ReplicationMode, ReplicationStats, ShardReplication, WalConfig,
     WalStats,
 };
-pub use query::{CandidateStrategy, Parallelism, PrefilterMode, QueryOptions, SearchHit, TwoStage};
+pub use query::{CandidateStrategy, PrefilterMode, QueryOptions, SearchHit, TwoStage};
 pub use replica::{ReplicaConfig, ReplicaStats, ReplicatedImageDatabase};
 pub use reshard::{ReshardProgress, Resharder};
 pub use signature::{QuerySketch, ScoreBound, ScoreSketch, SKETCH_BUCKETS};

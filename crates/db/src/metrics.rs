@@ -63,6 +63,9 @@ pub struct DbMetrics {
     /// Per-shard scans that walked their candidates with the dense scan
     /// instead of the posting walk.
     pub planner_dense_scans: Arc<Counter>,
+    /// Per-shard scans the planner proved empty and skipped because
+    /// the shard's class postings could not contribute a candidate.
+    pub planner_skipped: Arc<Counter>,
     /// Candidates exactly scored (the survivors of a bounded search;
     /// every candidate of a direct one).
     pub stage2_scored: Arc<Counter>,
@@ -92,6 +95,7 @@ impl DbMetrics {
             outstanding_reads: Arc::new(Gauge::new()),
             planner_ordered_scatters: Arc::new(Counter::new()),
             planner_dense_scans: Arc::new(Counter::new()),
+            planner_skipped: Arc::new(Counter::new()),
             stage2_scored: Arc::new(Counter::new()),
             bound_pruned: Arc::new(Counter::new()),
         }

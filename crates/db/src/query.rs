@@ -72,71 +72,6 @@ impl fmt::Display for CandidateStrategy {
     }
 }
 
-/// Whether candidate scoring runs on multiple threads.
-///
-/// The scan chunks the candidate set across scoped threads (see
-/// [`ImageDatabase::search`](crate::ImageDatabase::search)). Spawning
-/// threads is only worth it when there is enough scoring work to
-/// amortise it, so the recommended production setting is [`Auto`]:
-/// serial for small candidate sets, threaded beyond
-/// [`AUTO_THRESHOLD`](Parallelism::AUTO_THRESHOLD) candidates.
-///
-/// [`Auto`]: Parallelism::Auto
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum Parallelism {
-    /// Single-threaded scoring. Default.
-    #[default]
-    Off,
-    /// Multi-threaded scoring whenever the candidate set is non-trivial
-    /// (at least [`MIN_CANDIDATES`](Parallelism::MIN_CANDIDATES)).
-    On,
-    /// Multi-threaded scoring only when the candidate set reaches
-    /// [`AUTO_THRESHOLD`](Parallelism::AUTO_THRESHOLD) — the sweet spot
-    /// for servers that see both tiny and huge candidate sets.
-    Auto,
-}
-
-impl Parallelism {
-    /// Below this many candidates the scan never goes multi-threaded:
-    /// thread spawning would dominate the scoring work.
-    pub const MIN_CANDIDATES: usize = 32;
-
-    /// The candidate count at which [`Auto`](Parallelism::Auto) switches
-    /// to the multi-threaded scan.
-    pub const AUTO_THRESHOLD: usize = 192;
-
-    /// Decides whether a scan over `candidates` records should use the
-    /// multi-threaded path.
-    #[must_use]
-    pub fn enabled_for(self, candidates: usize) -> bool {
-        match self {
-            Parallelism::Off => false,
-            Parallelism::On => candidates >= Parallelism::MIN_CANDIDATES,
-            Parallelism::Auto => candidates >= Parallelism::AUTO_THRESHOLD,
-        }
-    }
-}
-
-impl From<bool> for Parallelism {
-    fn from(on: bool) -> Self {
-        if on {
-            Parallelism::On
-        } else {
-            Parallelism::Off
-        }
-    }
-}
-
-impl fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Parallelism::Off => f.write_str("off"),
-            Parallelism::On => f.write_str("on"),
-            Parallelism::Auto => f.write_str("auto"),
-        }
-    }
-}
-
 /// The field-less value of the retired two-stage request in
 /// [`QueryOptions`]. It carries nothing, and the engine ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -157,8 +92,6 @@ pub struct QueryOptions {
     pub config: SimilarityConfig,
     /// Candidate prefiltering policy.
     pub prefilter: PrefilterMode,
-    /// Scan record chunks on multiple threads (see [`Parallelism`]).
-    pub parallel: Parallelism,
     /// Accepted and ignored: each search decides for itself whether to
     /// rank candidates by an admissible score bound (see
     /// [`ImageDatabase::search_bounded`](crate::ImageDatabase::search_bounded)),
@@ -175,7 +108,6 @@ impl Default for QueryOptions {
             transforms: vec![Transform::Identity],
             config: SimilarityConfig::default(),
             prefilter: PrefilterMode::default(),
-            parallel: Parallelism::Off,
             two_stage: None,
         }
     }
@@ -199,15 +131,13 @@ impl QueryOptions {
         self
     }
 
-    /// Preset for online serving: [`Parallelism::Auto`] scoring, so
-    /// small queries stay cheap while large candidate sets use every
-    /// core.
+    /// Equal to [`QueryOptions::default`]: how many threads score the
+    /// candidates is the database's own choice (see
+    /// [`ImageDatabase::search`](crate::ImageDatabase::search)). Kept
+    /// only because the standalone benchmark harness calls it.
     #[must_use]
     pub fn serving() -> Self {
-        QueryOptions {
-            parallel: Parallelism::Auto,
-            ..QueryOptions::default()
-        }
+        QueryOptions::default()
     }
 }
 
@@ -246,27 +176,7 @@ mod tests {
         assert_eq!(o.top_k, Some(10));
         assert_eq!(o.transforms, vec![Transform::Identity]);
         assert_eq!(o.prefilter, PrefilterMode::AnyClass);
-        assert_eq!(o.parallel, Parallelism::Off);
-    }
-
-    #[test]
-    fn serving_preset() {
-        let o = QueryOptions::serving();
-        assert_eq!(o.parallel, Parallelism::Auto);
-        assert_eq!(o.top_k, Some(10), "rest stays at the defaults");
-    }
-
-    #[test]
-    fn parallelism_policy() {
-        assert!(!Parallelism::Off.enabled_for(usize::MAX));
-        assert!(!Parallelism::On.enabled_for(Parallelism::MIN_CANDIDATES - 1));
-        assert!(Parallelism::On.enabled_for(Parallelism::MIN_CANDIDATES));
-        assert!(!Parallelism::Auto.enabled_for(Parallelism::AUTO_THRESHOLD - 1));
-        assert!(Parallelism::Auto.enabled_for(Parallelism::AUTO_THRESHOLD));
-        assert_eq!(Parallelism::from(true), Parallelism::On);
-        assert_eq!(Parallelism::from(false), Parallelism::Off);
-        assert_eq!(Parallelism::Auto.to_string(), "auto");
-        assert_eq!(Parallelism::default(), Parallelism::Off);
+        assert_eq!(QueryOptions::serving(), o);
     }
 
     #[test]

@@ -95,7 +95,7 @@ use crate::oplog::{
     ShardLog, ShardReplication, WalConfig, WalRecord, WalState,
 };
 use crate::reshard::ReshardProgress;
-use crate::scatter::{merge_top_k, scatter_scan_list};
+use crate::scatter::{fan_out, merge_top_k};
 use crate::snapshot::{
     fresh_snapshot_id, heal_next_id, load_snapshot_at, reroute_shards, save_snapshot_at,
     wal_floor_of, PreviousSnapshot, SnapshotPayload,
@@ -113,6 +113,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 use std::time::Instant;
+
+/// A scatter over fewer records than this scans its shards in turn on
+/// the calling thread.
+const SCATTER_MIN_RECORDS: usize = 64;
 
 /// A cheaply clonable, thread-safe image database of N shards × R
 /// replicas whose shard count can be changed online.
@@ -196,8 +200,6 @@ pub(crate) struct Inner {
     /// Stable id of this database instance (the incremental-snapshot
     /// writer id; see `snapshot.rs`).
     pub(crate) instance: u64,
-    /// Shards the scatter planner skipped (see `/v1/stats`).
-    pub(crate) planner_skipped: AtomicU64,
     /// Serialises snapshot/restore **file I/O** (not regular traffic):
     /// two concurrent saves to one path could otherwise delete each
     /// other's generation files during cleanup, and a save racing a
@@ -740,7 +742,6 @@ impl ReplicatedImageDatabase {
                 topology: RwLock::new(Topology::steady(shards, replicas, window)),
                 next_id: AtomicUsize::new(0),
                 instance: fresh_snapshot_id(),
-                planner_skipped: AtomicU64::new(0),
                 snapshot_io: parking_lot::Mutex::new(()),
                 search_gate: RwLock::new(()),
                 reshard_lock: parking_lot::Mutex::new(()),
@@ -831,13 +832,6 @@ impl ReplicatedImageDatabase {
     #[must_use]
     pub fn replica_health(&self) -> Vec<Vec<bool>> {
         health_bits(&self.inner.topology.read())
-    }
-
-    /// Cumulative count of shards the scatter planner skipped because
-    /// their class postings could not contribute a candidate.
-    #[must_use]
-    pub fn planner_skipped(&self) -> u64 {
-        self.inner.planner_skipped.load(Ordering::Relaxed)
     }
 
     /// The database's lock-free metric handles (per-shard scatter
@@ -1172,7 +1166,6 @@ impl ReplicatedImageDatabase {
         let planner_start = Instant::now();
         let epoch = top.epoch();
         let topology = &*top;
-        let planner_skipped = &self.inner.planner_skipped;
         // A multi-shard top-k search is bounded: shards share a
         // monotone score floor, each publishes its k-th exact score,
         // and the others stop scoring candidates whose bounds fall
@@ -1239,7 +1232,7 @@ impl ReplicatedImageDatabase {
             metrics.outstanding_reads.dec();
             let skipped = stats.plan.is_empty();
             if skipped {
-                planner_skipped.fetch_add(1, Ordering::Relaxed);
+                metrics.planner_skipped.inc();
             }
             if stats.plan.strategy == CandidateStrategy::DenseScan {
                 metrics.planner_dense_scans.inc();
@@ -1273,8 +1266,20 @@ impl ReplicatedImageDatabase {
             };
             Ok((hits, trace))
         };
-        // next_id is a cheap upper bound on the total record count.
-        let approx_records = self.inner.next_id.load(Ordering::Relaxed);
+        // Scatter threads only pay off when there is real scoring work
+        // to split: on a single-core host, or below SCATTER_MIN_RECORDS
+        // total records (next_id is a cheap upper bound), per-query
+        // spawns would dominate the microsecond-scale scans, so the
+        // shards are scanned in turn on the calling thread instead.
+        let threaded = self.inner.next_id.load(Ordering::Relaxed) >= SCATTER_MIN_RECORDS
+            && std::thread::available_parallelism().map_or(1, |c| c.get()) > 1;
+        let scatter = |shards: &[usize]| {
+            if threaded {
+                fan_out(shards.iter().copied(), scan)
+            } else {
+                shards.iter().map(|&shard| scan(shard)).collect()
+            }
+        };
         let per_shard: Vec<Result<(Vec<SearchHit>, ShardTrace), DbError>> = if ordered {
             // Sequence the first wave: the most selective shard's k-th
             // exact score lands in the shared threshold before any other
@@ -1283,10 +1288,10 @@ impl ReplicatedImageDatabase {
             let (first, rest) = visit.split_first().expect("multi-shard scatter");
             let mut results = Vec::with_capacity(n);
             results.push(scan(*first));
-            results.extend(scatter_scan_list(rest, approx_records, scan));
+            results.extend(scatter(rest));
             results
         } else {
-            scatter_scan_list(&visit, approx_records, scan)
+            scatter(&visit)
         };
         let scatter_ns = elapsed_ns(scatter_start);
         let mut lists = Vec::with_capacity(per_shard.len());

@@ -1,5 +1,6 @@
-//! Scatter-gather primitives of the sharded search: the per-shard scan
-//! dispatch and the top-k heap merge.
+//! Scatter-gather primitives of the search path: the scoped fan-out that
+//! runs shard scans and scoring chunks in parallel, and the top-k heap
+//! merge.
 //!
 //! Scores depend only on the record and the query — never on
 //! co-resident records — and the merge preserves the global tie-break
@@ -69,38 +70,38 @@ pub(crate) fn merge_top_k(lists: Vec<Vec<SearchHit>>, top_k: Option<usize>) -> V
 }
 
 // ---------------------------------------------------------------------------
-// Scatter dispatch
+// Scoped fan-out
 // ---------------------------------------------------------------------------
 
-/// Runs one scan per listed shard and collects the per-shard results,
-/// in `shards` order. Scatter threads only pay off when there is real
-/// scoring work to split: with at most one shard to scan, on a
-/// single-core host, or below `SCATTER_MIN_RECORDS` total records (the
-/// caller passes a cheap upper bound), per-query thread spawns would
-/// dominate the microsecond-scale scans, so the shards are scanned
-/// sequentially on the calling thread instead (results are identical
-/// either way).
-pub(crate) fn scatter_scan_list<T, F>(shards: &[usize], approx_records: usize, scan: F) -> Vec<T>
+/// Runs `run` on every part and returns the results in part order. The
+/// calling thread runs the first part itself and each other part gets
+/// one scoped thread: `n` parts cost `n - 1` spawns, and no thread idles
+/// in `join` while the others compete for its core. Whether a job is
+/// worth splitting, and into how many parts, is the caller's decision.
+pub(crate) fn fan_out<P, T>(
+    parts: impl IntoIterator<Item = P>,
+    run: impl Fn(P) -> T + Sync,
+) -> Vec<T>
 where
+    P: Send,
     T: Send,
-    F: Fn(usize) -> T + Copy + Send + Sync,
 {
-    const SCATTER_MIN_RECORDS: usize = 64;
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    if shards.len() <= 1 || cores == 1 || approx_records < SCATTER_MIN_RECORDS {
-        shards.iter().map(|&shard| scan(shard)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|&shard| scope.spawn(move || scan(shard)))
-                .collect();
-            handles
+    let mut parts = parts.into_iter();
+    let Some(head) = parts.next() else {
+        return Vec::new();
+    };
+    let run = &run;
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = parts.map(|part| scope.spawn(move || run(part))).collect();
+        let mut out = Vec::with_capacity(helpers.len() + 1);
+        out.push(run(head));
+        out.extend(
+            helpers
                 .into_iter()
-                .map(|h| h.join().expect("shard search panicked"))
-                .collect()
-        })
-    }
+                .map(|helper| helper.join().expect("fan-out part panicked")),
+        );
+        out
+    })
 }
 
 #[cfg(test)]
@@ -137,5 +138,11 @@ mod tests {
         let top2 = merge_top_k(lists, Some(2));
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[1].id, RecordId(3));
+    }
+
+    #[test]
+    fn fan_out_keeps_part_order() {
+        assert_eq!(fan_out(0..5, |i| i * 10), vec![0, 10, 20, 30, 40]);
+        assert!(fan_out(std::iter::empty::<usize>(), |i| i).is_empty());
     }
 }

@@ -3,14 +3,16 @@
 //! the `(transform, similarity)` that [`best_transform_similarity`]
 //! computes on the record's materialised 2D BE-string — score bits,
 //! chosen transform and the whole [`Similarity`] — and the ranking must
-//! be the reference ranking, across every similarity configuration,
-//! serial and threaded scoring, and direct and bounded retrieval.
+//! be the reference ranking, across every similarity configuration and
+//! both direct retrieval (one batch of every candidate, scored in
+//! chunks on helper threads) and bounded retrieval (frontier batches,
+//! scored serially).
 
 use be2d_core::{
     best_transform_similarity, convert_scene, AxisCombine, BeString2D, Normalization,
     SimilarityConfig,
 };
-use be2d_db::{ImageDatabase, Parallelism, PrefilterMode, QueryOptions, ScoreThreshold, SearchHit};
+use be2d_db::{ImageDatabase, PrefilterMode, QueryOptions, ScoreThreshold, SearchHit};
 use be2d_geometry::{ObjectClass, Rect, Scene, Transform};
 
 const CLASSES: [&str; 5] = ["A", "B", "C", "D", "F"];
@@ -87,9 +89,11 @@ fn reference(db: &ImageDatabase, query: &BeString2D, options: &QueryOptions) -> 
 #[test]
 fn search_hits_are_bit_identical_to_best_transform_similarity() {
     let mut db = ImageDatabase::new();
-    // 75 records: enough for the threaded path (≥ 32 candidates) and for
-    // several full lane groups plus a partial one.
-    for seed in 0..75 {
+    // 203 live records: past the 192 candidates at which a batch is
+    // split across threads, and a multiple neither of the lane width
+    // nor of any chunk count, so the last chunk ends in a partial lane
+    // group.
+    for seed in 0..205 {
         db.insert_scene(&format!("img-{seed}"), &scene(seed))
             .expect("insert");
     }
@@ -110,28 +114,26 @@ fn search_hits_are_bit_identical_to_best_transform_similarity() {
                 ..QueryOptions::default()
             };
             let all = reference(&db, &query, &base);
-            for parallel in [Parallelism::Off, Parallelism::On] {
-                for bounded in [false, true] {
-                    // a cut makes bounded retrieval prune by bound
-                    for top_k in [None, Some(7)] {
-                        let options = QueryOptions {
-                            top_k,
-                            parallel,
-                            ..base.clone()
-                        };
-                        let threshold = bounded.then(ScoreThreshold::new);
-                        let (got, _) = db.search_bounded(&query, &options, threshold.as_ref());
-                        let want = &all[..top_k.unwrap_or(all.len())];
-                        assert_eq!(got.len(), want.len(), "{options:?}");
-                        for (g, w) in got.iter().zip(want) {
-                            assert_eq!(g.id, w.id, "{options:?}");
-                            assert_eq!(g.score.to_bits(), w.score.to_bits(), "{options:?}");
-                            assert_eq!(g.transform, w.transform, "{options:?}");
-                            assert_eq!(g.similarity, w.similarity, "{options:?}");
-                            assert_eq!(g, w, "{options:?}");
-                        }
-                        checked += got.len();
+            for bounded in [false, true] {
+                // a cut makes bounded retrieval prune by bound
+                for top_k in [None, Some(7)] {
+                    let options = QueryOptions {
+                        top_k,
+                        ..base.clone()
+                    };
+                    let threshold = bounded.then(ScoreThreshold::new);
+                    let (got, stats) = db.search_bounded(&query, &options, threshold.as_ref());
+                    assert_eq!(stats.candidates, 203);
+                    let want = &all[..top_k.unwrap_or(all.len())];
+                    assert_eq!(got.len(), want.len(), "{options:?}");
+                    for (g, w) in got.iter().zip(want) {
+                        assert_eq!(g.id, w.id, "{options:?}");
+                        assert_eq!(g.score.to_bits(), w.score.to_bits(), "{options:?}");
+                        assert_eq!(g.transform, w.transform, "{options:?}");
+                        assert_eq!(g.similarity, w.similarity, "{options:?}");
+                        assert_eq!(g, w, "{options:?}");
                     }
+                    checked += got.len();
                 }
             }
         }

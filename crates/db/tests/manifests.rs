@@ -395,7 +395,7 @@ fn snapshots_with_old_class_signatures_restore() {
         .collect();
     let options = [
         QueryOptions::default(),
-        QueryOptions::serving().with_top_k(None),
+        QueryOptions::default().with_top_k(None),
     ];
     let rankings = |search: &dyn Fn(&be2d_core::BeString2D, &QueryOptions) -> Vec<SearchHit>,
                     when: &str| {

@@ -54,25 +54,25 @@ fn planner_skipped_tracks_posting_changes_exactly() {
 
     // No Q anywhere: all four shards are provably empty for the query.
     assert!(search(&db, &query, &options).is_empty());
-    assert_eq!(db.planner_skipped(), 4);
+    assert_eq!(db.metrics().planner_skipped.get(), 4);
 
     // Q lands on record 0 → shard 0: exactly three shards skippable.
     db.add_object(RecordId(0), &q, mbr).unwrap();
     let hits = search(&db, &query, &options);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].id, RecordId(0));
-    assert_eq!(db.planner_skipped(), 4 + 3);
+    assert_eq!(db.metrics().planner_skipped.get(), 4 + 3);
 
     // A second Q on record 5 → shard 1: two shards skippable.
     db.add_object(RecordId(5), &q, mbr).unwrap();
     assert_eq!(search(&db, &query, &options).len(), 2);
-    assert_eq!(db.planner_skipped(), 4 + 3 + 2);
+    assert_eq!(db.metrics().planner_skipped.get(), 4 + 3 + 2);
 
     // Removing the §3.2 objects restores full pruning.
     db.remove_object(RecordId(0), &q, mbr).unwrap();
     db.remove_object(RecordId(5), &q, mbr).unwrap();
     assert!(search(&db, &query, &options).is_empty());
-    assert_eq!(db.planner_skipped(), 4 + 3 + 2 + 4);
+    assert_eq!(db.metrics().planner_skipped.get(), 4 + 3 + 2 + 4);
 
     // Without a prefilter every record is a candidate: never pruned.
     let unfiltered = QueryOptions {
@@ -81,7 +81,7 @@ fn planner_skipped_tracks_posting_changes_exactly() {
     };
     let _ = search(&db, &query, &unfiltered);
     assert_eq!(
-        db.planner_skipped(),
+        db.metrics().planner_skipped.get(),
         13,
         "an unfiltered search must not skip"
     );
@@ -195,9 +195,9 @@ fn concurrent_edits_never_prune_a_contributing_shard() {
         .object("Q", (0, 5, 0, 5))
         .build()
         .unwrap();
-    let before = db.planner_skipped();
+    let before = db.metrics().planner_skipped.get();
     assert!(search(&db, &q_query, &all).is_empty());
-    assert_eq!(db.planner_skipped(), before + 7);
+    assert_eq!(db.metrics().planner_skipped.get(), before + 7);
 }
 
 // ---------------------------------------------------------------------
@@ -301,7 +301,6 @@ fn option_battery() -> Vec<(&'static str, QueryOptions)> {
                 ..index_all.clone()
             },
         ),
-        ("serving", QueryOptions::serving()),
     ]
 }
 

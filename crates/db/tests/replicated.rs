@@ -6,8 +6,7 @@
 
 use be2d_core::convert_scene;
 use be2d_db::{
-    ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId, ReplicatedImageDatabase,
-    SearchHit,
+    ImageDatabase, PrefilterMode, QueryOptions, RecordId, ReplicatedImageDatabase, SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
 
@@ -114,10 +113,10 @@ fn option_variants() -> Vec<(&'static str, QueryOptions)> {
             },
         ),
         (
-            "serving preset",
+            "top 25",
             QueryOptions {
                 top_k: Some(25),
-                ..QueryOptions::serving()
+                ..QueryOptions::default()
             },
         ),
         (
@@ -205,7 +204,6 @@ fn replica_loss_under_concurrent_writes() {
     let queries = corpus(0x1234, 6);
     let options = QueryOptions {
         top_k: Some(20),
-        parallel: Parallelism::Auto,
         ..QueryOptions::default()
     };
 

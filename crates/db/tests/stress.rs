@@ -5,7 +5,7 @@
 
 use be2d_core::convert_scene;
 use be2d_db::{
-    ImageDatabase, Parallelism, PrefilterMode, QueryOptions, RecordId, ReplicatedImageDatabase,
+    ImageDatabase, PrefilterMode, QueryOptions, QueryTrace, RecordId, ReplicatedImageDatabase,
     SearchHit,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder};
@@ -23,11 +23,19 @@ fn scene(x: i64, extra: bool) -> Scene {
 }
 
 /// A scene query through the database's one search call.
-fn search(db: &ReplicatedImageDatabase, query: &Scene, options: &QueryOptions) -> Vec<SearchHit> {
+fn search(
+    db: &ReplicatedImageDatabase,
+    query: &Scene,
+    options: &QueryOptions,
+) -> (Vec<SearchHit>, QueryTrace) {
     db.search_traced(&convert_scene(query), options)
         .expect("every shard has a healthy replica")
-        .0
 }
+
+/// Seed records: 200 per shard, so an unfiltered direct search scores
+/// more than 192 candidates in every shard and splits each scan across
+/// threads.
+const SEEDS: i64 = 800;
 
 /// Every shard's single replica, cloned under that shard's read lock.
 fn snapshot_shards(db: &ReplicatedImageDatabase) -> Vec<ImageDatabase> {
@@ -67,7 +75,7 @@ fn mixed_readers_and_writers_stay_consistent() {
     // racing per-shard writes (one shard is the single-lock case, which
     // the unit tests already exercise).
     let db = ReplicatedImageDatabase::with_topology(4, 1);
-    for i in 0..64 {
+    for i in 0..SEEDS {
         db.insert_scene(&format!("seed{i}"), &scene(i, i % 3 == 0))
             .expect("seed insert");
     }
@@ -86,17 +94,22 @@ fn mixed_readers_and_writers_stay_consistent() {
                     0 => QueryOptions::default(),
                     1 => QueryOptions {
                         prefilter: PrefilterMode::None,
-                        parallel: Parallelism::On,
                         top_k: None,
                         ..QueryOptions::default()
                     },
-                    _ => QueryOptions::serving(),
+                    _ => QueryOptions::transform_invariant(),
                 };
                 let query = scene(17, true);
                 let mut searches = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let hits = search(&db, &query, &options);
+                    let (hits, trace) = search(&db, &query, &options);
                     check_consistent(&hits, &options);
+                    if worker == 1 {
+                        assert!(
+                            trace.shards.iter().all(|shard| shard.scored >= 192),
+                            "every shard scan is split across threads"
+                        );
+                    }
                     searches += 1;
                     if searches == 1 {
                         searched.fetch_add(1, Ordering::SeqCst);
@@ -128,7 +141,7 @@ fn mixed_readers_and_writers_stay_consistent() {
             let db = db.clone();
             s.spawn(move || {
                 let mut mine = Vec::new();
-                for i in 64..256i64 {
+                for i in SEEDS..SEEDS + 192 {
                     let id = db
                         .insert_scene(&format!("w{i}"), &scene(i, i % 2 == 0))
                         .expect("insert");
@@ -175,13 +188,13 @@ fn mixed_readers_and_writers_stay_consistent() {
 
     // Post-conditions: seed rows all alive, writer net growth applied,
     // and the §3.2 editor left no stray X objects behind.
-    assert!(db.len() >= 64, "seed records survived");
+    assert!(db.len() >= SEEDS as usize, "seed records survived");
     let x_query = SceneBuilder::new(200, 200)
         .object("X", (0, 9, 0, 9))
         .build()
         .expect("query");
     assert!(
-        search(&db, &x_query, &QueryOptions::default()).is_empty(),
+        search(&db, &x_query, &QueryOptions::default()).0.is_empty(),
         "every add_object was matched by its remove_object"
     );
     let shards = snapshot_shards(&db);

@@ -3,7 +3,9 @@
 //! measured total, and the always-on histograms must observe traffic.
 
 use be2d_core::convert_scene;
-use be2d_db::{QueryOptions, ReplicatedImageDatabase};
+use be2d_db::{
+    CandidateStrategy, PrefilterMode, QueryOptions, QueryTrace, ReplicatedImageDatabase,
+};
 use be2d_geometry::{Scene, SceneBuilder};
 
 const CLASSES: [&str; 6] = ["A", "B", "C", "D", "F", "G"];
@@ -133,11 +135,115 @@ fn metrics_observe_traffic() {
     assert_eq!(total.count, before + 5);
     assert!(total.sum_ns > 0);
     let scatter0 = m.scatter.get(0).snapshot();
-    assert!(scatter0.count >= 5, "shard 0 scanned every search");
-    assert!(m.replica_picks.get() >= 20, "4 picks per 4-shard search");
+    assert_eq!(scatter0.count, 5, "shard 0 scanned every search");
+    assert_eq!(m.replica_picks.get(), 20, "4 picks per 4-shard search");
     assert_eq!(
         m.outstanding_reads.get(),
         0,
         "reads all returned, gauge back to zero"
     );
+}
+
+/// Every search counter of `DbMetrics` reconciles exactly with the
+/// traces the searches return, on one, two and four shards, over a
+/// battery that skips shards, takes the dense scan, runs bounded and
+/// direct searches, and searches with no `top_k`.
+#[test]
+fn counters_reconcile_exactly_with_traces() {
+    for (shards, replicas) in [(1, 1), (2, 2), (4, 1)] {
+        let (db, scenes) = populated(shards, replicas, 120);
+        // "R" lives in one record, so a query for it skips every other
+        // shard; "Z" lives nowhere, so a query for it skips them all.
+        let lone = |class: &str| {
+            SceneBuilder::new(256, 256)
+                .object(class, (0, 10, 0, 10))
+                .build()
+                .expect("valid scene")
+        };
+        db.insert_scene("rare", &lone("R")).unwrap();
+        let mut queries: Vec<Scene> = scenes.iter().take(4).cloned().collect();
+        queries.extend([lone("R"), lone("Z")]);
+        let battery = [
+            QueryOptions::default(),
+            QueryOptions::default().with_top_k(None),
+            // a floor lets a bounded search prune by bound
+            QueryOptions {
+                prefilter: PrefilterMode::None,
+                top_k: Some(5),
+                min_score: 0.5,
+                ..QueryOptions::default()
+            },
+            QueryOptions {
+                prefilter: PrefilterMode::AllClasses,
+                top_k: Some(3),
+                ..QueryOptions::default()
+            },
+        ];
+
+        let m = db.metrics();
+        let counters = || {
+            [
+                m.replica_picks.get(),
+                m.stage2_scored.get(),
+                m.bound_pruned.get(),
+                m.planner_skipped.get(),
+                m.planner_dense_scans.get(),
+                m.planner_ordered_scatters.get(),
+                m.gather.snapshot().count,
+                m.search_total.snapshot().count,
+            ]
+        };
+        let visits = || -> Vec<u64> {
+            (0..shards)
+                .map(|shard| m.scatter.get(shard).snapshot().count)
+                .collect()
+        };
+        let (counters_before, visits_before) = (counters(), visits());
+        let traces: Vec<QueryTrace> = queries
+            .iter()
+            .flat_map(|query| {
+                battery.iter().map(|options| {
+                    db.search_traced(&convert_scene(query), options)
+                        .expect("healthy topology")
+                        .1
+                })
+            })
+            .collect();
+        let counters_after = counters();
+        let delta: Vec<u64> = (0..counters_before.len())
+            .map(|i| counters_after[i] - counters_before[i])
+            .collect();
+
+        let entries = || traces.iter().flat_map(|t| &t.shards);
+        let sum = |f: fn(&be2d_db::ShardTrace) -> usize| entries().map(f).sum::<usize>() as u64;
+        let searches = traces.len() as u64;
+        let want = [
+            entries().count() as u64,
+            sum(|s| s.scored),
+            sum(|s| s.bound_pruned),
+            sum(|s| usize::from(s.skipped)),
+            sum(|s| usize::from(s.strategy == CandidateStrategy::DenseScan)),
+            traces.iter().filter(|t| t.ordered).count() as u64,
+            searches,
+            searches,
+        ];
+        assert_eq!(delta, want, "{shards}x{replicas}: counter deltas vs traces");
+        for (shard, (after, before)) in visits().iter().zip(&visits_before).enumerate() {
+            let visited = entries().filter(|s| s.shard == shard).count() as u64;
+            assert_eq!(
+                after - before,
+                visited,
+                "{shards}x{replicas}: shard {shard} visits"
+            );
+        }
+
+        // The battery reached every path it is meant to cover.
+        assert!(want[3] > 0, "a shard was skipped");
+        assert!(want[4] > 0, "a shard took the dense scan");
+        assert!(traces.iter().any(|t| !t.ordered), "a direct search ran");
+        if shards > 1 {
+            assert!(want[5] > 0, "a bounded search ran");
+            assert!(want[2] > 0, "a bounded search pruned by bound");
+        }
+    }
 }

@@ -13,8 +13,8 @@
 
 use be2d_core::{convert_scene, BeString2D};
 use be2d_db::{
-    ImageDatabase, Parallelism, PrefilterMode, QueryOptions, QueryTrace, RecordId,
-    ReplicatedImageDatabase, Resharder, ScoreThreshold, SearchHit, TwoStage,
+    ImageDatabase, PrefilterMode, QueryOptions, QueryTrace, RecordId, ReplicatedImageDatabase,
+    Resharder, ScoreThreshold, SearchHit, TwoStage,
 };
 use be2d_geometry::{ObjectClass, Rect, Scene, SceneBuilder, Transform};
 
@@ -154,17 +154,8 @@ fn option_battery() -> Vec<(&'static str, QueryOptions)> {
             },
         ),
         (
-            "serial",
+            "top-7",
             QueryOptions {
-                parallel: Parallelism::Off,
-                top_k: Some(7),
-                ..base.clone()
-            },
-        ),
-        (
-            "parallel",
-            QueryOptions {
-                parallel: Parallelism::On,
                 top_k: Some(7),
                 ..base
             },

@@ -9,7 +9,7 @@
 
 use crate::http::Response;
 use be2d_core::SymbolicImage;
-use be2d_db::{DbError, Parallelism, PrefilterMode, QueryOptions, QueryTrace, SearchHit, TwoStage};
+use be2d_db::{DbError, PrefilterMode, QueryOptions, QueryTrace, SearchHit, TwoStage};
 use be2d_geometry::{ObjectClass, Rect, Scene, Transform};
 use serde::{Deserialize, Serialize, Value};
 
@@ -468,14 +468,16 @@ impl ReshardRequest {
 ///
 /// Every field is optional:
 /// `{"top_k": 5, "min_score": 0.2, "prefilter": "any-class",
-///   "transforms": "paper-set", "parallel": "auto"}`.
+///   "transforms": "paper-set"}`.
 ///
-/// `candidates` (`"scan"` | `"class-index"`) and `two_stage` (`true`,
-/// an integer `>= 1`, `false` or `null`) are checked and otherwise
-/// ignored: candidates always come from the exact class index, and each
-/// search decides for itself whether to rank them by score bound (a
-/// multi-shard search with a `top_k` does). Rankings are the same
-/// either way. `two_stage` is still recorded in the options.
+/// `candidates` (`"scan"` | `"class-index"`), `two_stage` (`true`, an
+/// integer `>= 1`, `false` or `null`) and `parallel` (a bool, `"off"`,
+/// `"on"` or `"auto"`) are checked and otherwise ignored: candidates
+/// always come from the exact class index, each search decides for
+/// itself whether to rank them by score bound (a multi-shard search
+/// with a `top_k` does), and each database decides from its batch size
+/// whether to score on helper threads. Rankings are the same either
+/// way. `two_stage` is still recorded in the options.
 ///
 /// # Errors
 ///
@@ -521,27 +523,23 @@ pub fn options_from_value(
                     )))
                 }
             },
-            "parallel" => {
-                options.parallel = match value {
-                    Value::Bool(b) => Parallelism::from(*b),
-                    Value::Str(s) => match s.as_str() {
-                        "off" => Parallelism::Off,
-                        "on" => Parallelism::On,
-                        "auto" => Parallelism::Auto,
-                        other => {
-                            return Err(ApiError::bad(format!(
-                                "unknown parallelism {other:?} (off | on | auto)"
-                            )))
-                        }
-                    },
+            "parallel" => match value {
+                Value::Bool(_) => {}
+                Value::Str(s) => match s.as_str() {
+                    "off" | "on" | "auto" => {}
                     other => {
                         return Err(ApiError::bad(format!(
-                            "options.parallel must be a bool or string, got {}",
-                            other.kind()
+                            "unknown parallelism {other:?} (off | on | auto)"
                         )))
                     }
+                },
+                other => {
+                    return Err(ApiError::bad(format!(
+                        "options.parallel must be a bool or string, got {}",
+                        other.kind()
+                    )))
                 }
-            }
+            },
             "transforms" => options.transforms = transforms_from_value(value)?,
             "two_stage" => {
                 options.two_stage = match value {
@@ -1230,7 +1228,7 @@ mod tests {
 
     #[test]
     fn options_defaults_and_overrides() {
-        let defaults = QueryOptions::serving();
+        let defaults = QueryOptions::default();
         let untouched = options_from_value(None, &defaults).unwrap();
         assert_eq!(untouched, defaults);
 
@@ -1245,11 +1243,12 @@ mod tests {
         assert_eq!(opts.top_k, Some(3));
         assert!((opts.min_score - 0.5).abs() < 1e-12);
         assert_eq!(opts.prefilter, PrefilterMode::AllClasses);
-        assert_eq!(opts.parallel, Parallelism::Off);
         assert_eq!(opts.transforms.len(), 6);
         // accepted and ignored: nothing else changed
         let ignored = options_from_value(
-            Some(&val(r#"{"candidates":"class-index","two_stage":4}"#)),
+            Some(&val(
+                r#"{"candidates":"class-index","two_stage":4,"parallel":"auto"}"#,
+            )),
             &defaults,
         )
         .unwrap();
@@ -1262,6 +1261,7 @@ mod tests {
         );
 
         // null top_k = unlimited; explicit transform list; bool parallel
+        // is accepted and ignored
         let opts = options_from_value(
             Some(&val(
                 r#"{"top_k":null,"transforms":["identity","rotate-90"],"parallel":true}"#,
@@ -1274,7 +1274,14 @@ mod tests {
             opts.transforms,
             vec![Transform::Identity, Transform::Rotate90]
         );
-        assert_eq!(opts.parallel, Parallelism::On);
+        assert_eq!(
+            opts,
+            QueryOptions {
+                top_k: None,
+                transforms: vec![Transform::Identity, Transform::Rotate90],
+                ..defaults
+            }
+        );
     }
 
     #[test]
@@ -1285,6 +1292,7 @@ mod tests {
             r#"{"prefilter":"sometimes"}"#,
             r#"{"candidates":"psychic"}"#,
             r#"{"parallel":"maybe"}"#,
+            r#"{"parallel":3}"#,
             r#"{"transforms":"bogus"}"#,
             r#"{"transforms":["rotate-45"]}"#,
             r#"{"top_k":-2}"#,

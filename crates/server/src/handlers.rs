@@ -65,8 +65,6 @@ pub struct AppState {
     /// stats section, rotated by the background health ticker (shared
     /// with it, hence the `Arc`).
     pub windows: Arc<ServerWindows>,
-    /// Query options applied when a request sends none.
-    pub default_options: QueryOptions,
     /// Set by `POST /v1/admin/shutdown`; the accept loop watches it.
     pub shutdown: AtomicBool,
     /// Admission token for `POST /v1/admin/reshard`: exactly one request
@@ -104,7 +102,6 @@ impl AppState {
             http_metrics,
             slow_log,
             windows: Arc::new(ServerWindows::new()),
-            default_options: QueryOptions::serving(),
             shutdown: AtomicBool::new(false),
             reshard_inflight: Arc::new(AtomicBool::new(false)),
             threads,
@@ -406,7 +403,7 @@ fn edit_object(
 }
 
 fn search(state: &AppState, body: &Value) -> Result<Response, ApiError> {
-    let req = SearchRequest::from_value(body, &state.default_options)?;
+    let req = SearchRequest::from_value(body, &QueryOptions::default())?;
     // Always the traced path: metrics and the slow-query ring see every
     // search, and tracing is the only search implementation, so the
     // rankings cannot depend on whether the breakdown is returned.
@@ -427,7 +424,7 @@ fn search(state: &AppState, body: &Value) -> Result<Response, ApiError> {
 }
 
 fn search_sketch(state: &AppState, body: &Value) -> Result<Response, ApiError> {
-    let req = SketchRequest::from_value(body, &state.default_options)?;
+    let req = SketchRequest::from_value(body, &QueryOptions::default())?;
     let scene = Sketch::parse(&req.sketch)
         .and_then(|s| s.to_scene())
         .map_err(|e| ApiError::from_db(&e))?;
@@ -578,7 +575,7 @@ fn stats(state: &AppState) -> Response {
                 fallback_reads: replication.fallback_reads,
             },
             planner: PlannerSection {
-                skipped: state.db.planner_skipped(),
+                skipped: state.db.metrics().planner_skipped.get(),
                 ordered_scatters: state.db.metrics().planner_ordered_scatters.get(),
                 dense_scans: state.db.metrics().planner_dense_scans.get(),
             },

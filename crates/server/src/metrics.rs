@@ -260,12 +260,11 @@ pub(crate) fn build_registry(
         &[],
         Arc::clone(&m.bound_pruned),
     );
-    let planner_db = db.clone();
-    registry.counter_fn(
+    registry.register_counter(
         "be2d_db_planner_skipped_total",
         "Shards the scatter planner proved empty and skipped",
         &[],
-        move || planner_db.planner_skipped(),
+        Arc::clone(&m.planner_skipped),
     );
     let records_db = db.clone();
     registry.gauge_fn(

@@ -311,7 +311,23 @@ fn retired_execution_options_are_accepted_and_ignored() {
             assert_eq!(response.text(), baseline.text(), "{two_stage}{candidates}");
         }
     }
-    for bad in [r#","two_stage":0"#, r#","candidates":"bogus""#] {
+    for parallel in [
+        r#","parallel":true"#,
+        r#","parallel":false"#,
+        r#","parallel":"off""#,
+        r#","parallel":"on""#,
+        r#","parallel":"auto""#,
+    ] {
+        let response = search(&mut client, parallel);
+        assert_eq!(response.status, 200, "{parallel}");
+        assert_eq!(response.text(), baseline.text(), "{parallel}");
+    }
+    for bad in [
+        r#","two_stage":0"#,
+        r#","candidates":"bogus""#,
+        r#","parallel":"maybe""#,
+        r#","parallel":3"#,
+    ] {
         let response = search(&mut client, bad);
         assert_eq!(response.status, 400, "{bad}: {}", response.text());
         assert!(response.text().contains("\"error\""), "{}", response.text());

@@ -11,8 +11,10 @@ use be2d::{convert_scene, similarity, ImageDatabase, QueryOptions, SceneBuilder,
 fn server_facade_re_exports() {
     let config = be2d::server::ServerConfig::default();
     assert!(config.effective_threads() >= 2);
-    let options = be2d::db::QueryOptions::serving();
-    assert_eq!(options.parallel, be2d::db::Parallelism::Auto);
+    assert_eq!(
+        be2d::db::QueryOptions::serving(),
+        be2d::db::QueryOptions::default()
+    );
     let mix: be2d::workload::RequestMix = "insert=1,search=4".parse().expect("mix parses");
     assert_eq!(mix.total_weight(), 5);
 }
